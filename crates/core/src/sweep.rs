@@ -29,6 +29,7 @@ use crate::report::BoundsReport;
 use meshbound_sim::{DropCounts, FaultSpec, Scenario, SweepError, SweepSpec, TelemetryReport};
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
+use std::collections::HashMap;
 use std::time::Instant;
 
 /// Schema identifier embedded in every report; bump when the JSON layout
@@ -360,7 +361,14 @@ pub fn run_cells(spec: &str, cells: Vec<Scenario>, reps: usize, jobs: Jobs) -> S
     let run_one = |sc: &Scenario| run_cell(sc, reps, check);
     let cell_reports: Vec<SweepCellReport> = match jobs {
         Jobs::Sequential => cells.iter().map(run_one).collect(),
-        Jobs::Parallel => cells.par_iter().map(run_one).collect(),
+        Jobs::Parallel => {
+            let mut done: Vec<(usize, SweepCellReport)> = claim_order(&cells)
+                .into_par_iter()
+                .map(|i| (i, run_one(&cells[i])))
+                .collect();
+            done.sort_by_key(|&(i, _)| i);
+            done.into_iter().map(|(_, report)| report).collect()
+        }
     };
     let wall_s = t0.elapsed().as_secs_f64();
     let cells_wall_s: f64 = cell_reports.iter().map(|c| c.wall_s).sum();
@@ -382,6 +390,26 @@ pub fn run_cells(spec: &str, cells: Vec<Scenario>, reps: usize, jobs: Jobs) -> S
             1.0
         },
     }
+}
+
+/// The order in which parallel workers claim cells: the first cell of
+/// each rate-cache key ([`Scenario::rate_key`]) before any of its
+/// siblings, and input order otherwise. Siblings claimed side by side
+/// would each solve the same edge rates cold; claimed later, they find
+/// them cached.
+fn claim_order(cells: &[Scenario]) -> Vec<usize> {
+    let mut seen: HashMap<String, usize> = HashMap::new();
+    let rank: Vec<usize> = cells
+        .iter()
+        .map(|sc| {
+            let count = seen.entry(sc.rate_key()).or_insert(0);
+            *count += 1;
+            *count - 1
+        })
+        .collect();
+    let mut order: Vec<usize> = (0..cells.len()).collect();
+    order.sort_by_key(|&i| rank[i]);
+    order
 }
 
 /// Simulates one cell and assembles its report.
@@ -534,6 +562,15 @@ mod tests {
             assert_eq!(cell.setup_s, 0.0);
             assert_eq!(cell.sim_s, 0.0);
         }
+    }
+
+    #[test]
+    fn first_cell_of_each_rate_key_is_claimed_first() {
+        let cells = tiny().expand().unwrap();
+        // Mesh and torus, each at two loads: the loads share a rate key.
+        assert_eq!(cells[0].rate_key(), cells[1].rate_key());
+        assert_ne!(cells[1].rate_key(), cells[2].rate_key());
+        assert_eq!(claim_order(&cells), vec![0, 2, 1, 3]);
     }
 
     #[test]

@@ -49,6 +49,9 @@ pub const STREAMING_STATS_MAX_EDGES: usize = 1 << 16;
 ///   plus precomputed route tables when the topology fits under
 ///   [`ROUTE_TABLE_MAX_NODES`] and the router is deterministic (randomized
 ///   routers carry per-packet state, so they keep the on-the-fly path).
+///   When every edge has the same deterministic service time (the paper's
+///   unit-time model), departures ride the FIFO lane of a
+///   [`LaneQueue`](crate::events::LaneQueue) instead of the calendar.
 /// * [`EngineSpec::Heap`] — the binary-heap future-event list with
 ///   on-the-fly routing: the pre-overhaul baseline, kept as the reference
 ///   implementation and the benchmark yardstick.
@@ -56,7 +59,8 @@ pub const STREAMING_STATS_MAX_EDGES: usize = 1 << 16;
 ///   (isolates the event-queue contribution in ablations).
 /// * [`EngineSpec::Sharded`] — conservative parallel DES: the topology is
 ///   partitioned into `shards` node blocks, each runs its own calendar
-///   queue on its own thread, and cross-shard packets are exchanged at
+///   queue (a [`LaneQueue`](crate::events::LaneQueue) under the same
+///   rule as `Auto`) on its own thread, and cross-shard packets are exchanged at
 ///   epoch boundaries (see `crate::shard`). Requires deterministic
 ///   service times (the lookahead is the minimum cut-edge service time).
 ///
@@ -81,7 +85,8 @@ pub const STREAMING_STATS_MAX_EDGES: usize = 1 << 16;
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum EngineSpec {
-    /// Calendar queue + route tables where eligible (the default).
+    /// Calendar queue (with a departure lane under uniform deterministic
+    /// service) + route tables where eligible (the default).
     Auto,
     /// Binary-heap event list, on-the-fly routing (the baseline).
     Heap,

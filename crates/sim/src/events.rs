@@ -1,21 +1,27 @@
 //! Future-event queues.
 //!
-//! Two interchangeable future-event lists implement [`EventQueue`]:
+//! Three interchangeable future-event lists implement [`EventQueue`]:
 //!
 //! * [`HeapQueue`] — a binary heap keyed by `(time, seq)` with a monotone
 //!   sequence number breaking ties deterministically. O(log n) per
 //!   operation, no tuning knobs; the reference implementation.
 //! * [`CalendarQueue`] — the classic O(1)-amortized calendar queue with
-//!   sorted buckets and Brown-style dynamic resizing, used by the
-//!   simulator's default engine (see `EngineSpec`).
+//!   sorted buckets and Brown-style dynamic resizing.
+//! * [`LaneQueue`] — a calendar queue plus one FIFO lane for events
+//!   scheduled a fixed delay after the current time. In the paper's
+//!   unit-time model every departure is such an event, so departures
+//!   arrive at the lane already in time order and cost O(1) each; the
+//!   calendar keeps everything else. The default and sharded engines use
+//!   it whenever every edge has the same deterministic service time (see
+//!   `EngineSpec`).
 //!
-//! Both pop events in exactly the same `(time, seq)` order, so a simulation
-//! produces bit-identical results whichever queue drives it — the
-//! cross-queue property tests below and the engine-equivalence suite pin
-//! that guarantee.
+//! All three pop events in exactly the same `(time, seq)` order, so a
+//! simulation produces bit-identical results whichever queue drives it —
+//! the cross-queue property tests below and the engine-equivalence suite
+//! pin that guarantee.
 
 use std::cmp::Ordering;
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, VecDeque};
 
 /// An entry in a future-event queue.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -51,6 +57,16 @@ impl<E: PartialEq> Ord for Scheduled<E> {
 pub trait EventQueue<E> {
     /// Schedules `event` at `time`.
     fn schedule(&mut self, time: f64, event: E);
+    /// Schedules `event` at `time`, where `time` is never earlier than
+    /// that of the previous `schedule_lane` call — the shape of
+    /// constant-delay events such as unit-time departures (`now + d`, `d`
+    /// fixed). [`LaneQueue`] appends them to its FIFO lane and relies on
+    /// that order; every other queue treats this call as
+    /// [`EventQueue::schedule`].
+    #[inline]
+    fn schedule_lane(&mut self, time: f64, event: E) {
+        self.schedule(time, event);
+    }
     /// Removes and returns the earliest event.
     fn next(&mut self) -> Option<(f64, E)>;
     /// Number of pending events.
@@ -373,6 +389,61 @@ impl<E> CalendarQueue<E> {
             self.place::<false>(s);
         }
     }
+
+    /// Advances the cursor until the tail of its bucket is the earliest
+    /// pending event; `false` when the calendar is empty. Idempotent once
+    /// positioned, so [`CalendarQueue::peek`] followed by `next()` moves
+    /// the cursor exactly as `next()` alone would.
+    #[inline]
+    fn seek(&mut self) -> bool {
+        if self.len == 0 {
+            return false;
+        }
+        let mut empty_advances = 0usize;
+        loop {
+            if let Some(last) = self.buckets[self.cursor].last() {
+                // Same capped virtual-bucket math as `vbucket` — the raw
+                // cast would overshoot `VB_CAP` and never test as due.
+                if ((last.time * self.inv_width) as u64).min(VB_CAP) <= self.cursor_vb {
+                    return true;
+                }
+            }
+            // Nothing due in this bucket's current window: advance.
+            self.cursor_vb += 1;
+            self.cursor += 1;
+            self.advances += 1;
+            if self.cursor == self.buckets.len() {
+                self.cursor = 0;
+                self.repatriate_overflow();
+            }
+            empty_advances += 1;
+            if empty_advances > self.buckets.len() {
+                // A full silent lap: everything pending is far ahead.
+                self.jump_to_min();
+                empty_advances = 0;
+            }
+        }
+    }
+
+    /// The `(time, seq)` key of the earliest pending event, left in place.
+    #[inline]
+    fn peek(&mut self) -> Option<(f64, u64)> {
+        if !self.seek() {
+            return None;
+        }
+        self.buckets[self.cursor].last().map(|s| (s.time, s.seq))
+    }
+
+    /// Issues the next sequence number without scheduling anything, so
+    /// the [`LaneQueue`] lane shares this calendar's tie-break order. The
+    /// calendar's own events still carry the largest sequence number among
+    /// its residents when scheduled, as `place::<true>` requires.
+    #[inline]
+    fn take_seq(&mut self) -> u64 {
+        let seq = self.seq;
+        self.seq += 1;
+        seq
+    }
 }
 
 impl<E> EventQueue<E> for CalendarQueue<E> {
@@ -413,56 +484,102 @@ impl<E> EventQueue<E> for CalendarQueue<E> {
 
     #[inline]
     fn next(&mut self) -> Option<(f64, E)> {
-        if self.len == 0 {
+        if !self.seek() {
             return None;
         }
-        let mut empty_advances = 0usize;
-        loop {
-            let cursor_vb = self.cursor_vb;
-            let inv_width = self.inv_width;
-            let bucket = &mut self.buckets[self.cursor];
-            if let Some(last) = bucket.last() {
-                // Same capped virtual-bucket math as `vbucket` — the raw
-                // cast would overshoot `VB_CAP` and never test as due.
-                if ((last.time * inv_width) as u64).min(VB_CAP) <= cursor_vb {
-                    let s = bucket.pop().expect("tail just observed");
-                    self.len -= 1;
-                    self.pops += 1;
-                    if self.buckets.len() > self.min_buckets && 4 * self.len < self.buckets.len() {
-                        self.rebuild(self.target_buckets(), self.width);
-                    } else if self.advances > 8 * self.pops + 2 * self.buckets.len() as u64 {
-                        // Chronically sparse laps: the width is too narrow
-                        // for the event spread — widen it.
-                        let w = round_width(self.width * 8.0);
-                        if w > self.width {
-                            self.rebuild(self.target_buckets(), w);
-                        } else {
-                            self.advances = 0;
-                            self.pops = 0;
-                        }
-                    }
-                    return Some((s.time, s.event));
-                }
-            }
-            // Nothing due in this bucket's current window: advance.
-            self.cursor_vb += 1;
-            self.cursor += 1;
-            self.advances += 1;
-            if self.cursor == self.buckets.len() {
-                self.cursor = 0;
-                self.repatriate_overflow();
-            }
-            empty_advances += 1;
-            if empty_advances > self.buckets.len() {
-                // A full silent lap: everything pending is far ahead.
-                self.jump_to_min();
-                empty_advances = 0;
+        let s = self.buckets[self.cursor]
+            .pop()
+            .expect("seek stops at a due bucket");
+        self.len -= 1;
+        self.pops += 1;
+        if self.buckets.len() > self.min_buckets && 4 * self.len < self.buckets.len() {
+            self.rebuild(self.target_buckets(), self.width);
+        } else if self.advances > 8 * self.pops + 2 * self.buckets.len() as u64 {
+            // Chronically sparse laps: the width is too narrow for the
+            // event spread — widen it.
+            let w = round_width(self.width * 8.0);
+            if w > self.width {
+                self.rebuild(self.target_buckets(), w);
+            } else {
+                self.advances = 0;
+                self.pops = 0;
             }
         }
+        Some((s.time, s.event))
     }
 
     fn len(&self) -> usize {
         self.len
+    }
+}
+
+/// A [`CalendarQueue`] plus one FIFO lane for constant-delay events.
+///
+/// Events scheduled through [`EventQueue::schedule_lane`] go to the lane,
+/// a `VecDeque` that stays sorted because lane times never decrease;
+/// everything else goes to the calendar. Both parts draw their sequence
+/// numbers from the calendar's one counter, and `next()` pops whichever
+/// head has the smaller `(time, seq)` key — [`HeapQueue`]'s order exactly,
+/// exact-time ties between the two parts included.
+///
+/// A run whose departures all follow their service start by one fixed
+/// delay (deterministic service, one rate on every edge) schedules them
+/// in time order, so they skip the calendar's bucket search entirely and
+/// the calendar only holds about one pending arrival per source.
+#[derive(Debug)]
+pub struct LaneQueue<E> {
+    calendar: CalendarQueue<E>,
+    /// Constant-delay events in `(time, seq)` order (front = earliest).
+    lane: VecDeque<Scheduled<E>>,
+}
+
+impl<E> LaneQueue<E> {
+    /// A lane queue whose calendar is sized (see
+    /// [`CalendarQueue::for_simulation`]) for about `calendar_events`
+    /// concurrent non-lane events.
+    #[must_use]
+    pub fn for_simulation(calendar_events: usize) -> Self {
+        Self {
+            calendar: CalendarQueue::for_simulation(calendar_events),
+            lane: VecDeque::new(),
+        }
+    }
+}
+
+impl<E> EventQueue<E> for LaneQueue<E> {
+    #[inline]
+    fn schedule(&mut self, time: f64, event: E) {
+        self.calendar.schedule(time, event);
+    }
+
+    #[inline]
+    fn schedule_lane(&mut self, time: f64, event: E) {
+        debug_assert!(time.is_finite() && time >= 0.0);
+        debug_assert!(
+            self.lane.back().is_none_or(|last| last.time <= time),
+            "lane times must never decrease"
+        );
+        let seq = self.calendar.take_seq();
+        self.lane.push_back(Scheduled { time, seq, event });
+    }
+
+    #[inline]
+    fn next(&mut self) -> Option<(f64, E)> {
+        if let Some(head) = self.lane.front() {
+            let calendar_first = self
+                .calendar
+                .peek()
+                .is_some_and(|key| key < (head.time, head.seq));
+            if !calendar_first {
+                let s = self.lane.pop_front().expect("lane head just observed");
+                return Some((s.time, s.event));
+            }
+        }
+        self.calendar.next()
+    }
+
+    fn len(&self) -> usize {
+        self.calendar.len() + self.lane.len()
     }
 }
 
@@ -634,6 +751,41 @@ mod tests {
         assert_eq!(cal.next(), Some((2_000_000.0, "far")));
     }
 
+    #[test]
+    fn lane_and_calendar_ties_pop_in_schedule_order() {
+        // Exact-time ties across the two parts resolve by sequence number,
+        // whichever part was scheduled first.
+        let mut q = LaneQueue::for_simulation(4);
+        q.schedule(1.0, "calendar first");
+        q.schedule_lane(1.0, "lane second");
+        q.schedule_lane(2.0, "lane first");
+        q.schedule(2.0, "calendar second");
+        assert_eq!(q.len(), 4);
+        assert_eq!(q.next(), Some((1.0, "calendar first")));
+        assert_eq!(q.next(), Some((1.0, "lane second")));
+        assert_eq!(q.next(), Some((2.0, "lane first")));
+        assert_eq!(q.next(), Some((2.0, "calendar second")));
+        assert_eq!(q.next(), None);
+    }
+
+    #[test]
+    fn calendar_peek_matches_next_without_removing() {
+        let mut cal = CalendarQueue::new(4, 1.0);
+        assert_eq!(cal.peek(), None);
+        cal.schedule(7.5, 'a');
+        cal.schedule(0.5, 'b');
+        assert_eq!(cal.peek(), Some((0.5, 1)));
+        assert_eq!(cal.peek(), Some((0.5, 1)));
+        assert_eq!(cal.take_seq(), 2);
+        cal.schedule(0.25, 'c'); // behind the peeked cursor
+        assert_eq!(cal.peek(), Some((0.25, 3)));
+        assert_eq!(cal.next(), Some((0.25, 'c')));
+        assert_eq!(cal.next(), Some((0.5, 'b')));
+        assert_eq!(cal.peek(), Some((7.5, 0)));
+        assert_eq!(cal.next(), Some((7.5, 'a')));
+        assert_eq!(cal.peek(), None);
+    }
+
     proptest! {
         #[test]
         fn prop_calendar_equals_heap(ops in proptest::collection::vec((0.0f64..50.0, any::<bool>()), 1..300)) {
@@ -711,6 +863,60 @@ mod tests {
                 let a = heap.next();
                 let b = cal.next();
                 prop_assert_eq!(a, b);
+                if a.is_none() { break; }
+            }
+        }
+
+        /// The lane oracle: random interleavings of general schedules,
+        /// lane schedules at `now + delay`, pops, and pop-then-re-schedule
+        /// (the sharded engine's epoch cut-off push-back). Times sit on a
+        /// quarter-unit grid so exact-time ties between lane and calendar
+        /// events are common; `LaneQueue` must pop the heap's exact
+        /// `(time, seq)` sequence, ties included.
+        #[test]
+        fn prop_lane_queue_equals_heap(
+            delay_quarters in 1u8..8,
+            ops in proptest::collection::vec((0u8..4, 0u8..24), 1..400),
+        ) {
+            let delay = f64::from(delay_quarters) * 0.25;
+            let mut heap = HeapQueue::new();
+            let mut lane = LaneQueue::for_simulation(4);
+            let mut id = 0u32;
+            let mut now = 0.0f64;
+            for (kind, quarters) in ops {
+                match kind {
+                    0 => {
+                        let a = heap.next();
+                        prop_assert_eq!(a, lane.next());
+                        if let Some((t, _)) = a { now = t; }
+                    }
+                    1 => {
+                        let t = now + f64::from(quarters) * 0.25;
+                        heap.schedule(t, id);
+                        lane.schedule(t, id);
+                        id += 1;
+                    }
+                    2 => {
+                        heap.schedule(now + delay, id);
+                        lane.schedule_lane(now + delay, id);
+                        id += 1;
+                    }
+                    _ => {
+                        // Pop, then push the same event back unprocessed
+                        // with a fresh sequence number; the clock stays.
+                        let a = heap.next();
+                        prop_assert_eq!(a, lane.next());
+                        if let Some((t, ev)) = a {
+                            heap.schedule(t, ev);
+                            lane.schedule(t, ev);
+                        }
+                    }
+                }
+                prop_assert_eq!(heap.len(), lane.len());
+            }
+            loop {
+                let a = heap.next();
+                prop_assert_eq!(a, lane.next());
                 if a.is_none() { break; }
             }
         }

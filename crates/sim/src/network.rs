@@ -29,7 +29,7 @@
 //! `tests/engine_equivalence.rs`).
 
 use crate::engine::{EngineSpec, ROUTE_TABLE_MAX_NODES, STREAMING_STATS_MAX_EDGES};
-use crate::events::{CalendarQueue, EventQueue, HeapQueue};
+use crate::events::{CalendarQueue, EventQueue, HeapQueue, LaneQueue};
 use crate::fault::{ttl_budget, DropCause, DropCounts, FaultPlan};
 use crate::observer::Observer;
 use crate::rng::{derive_rng, exp_sample, poisson_sample};
@@ -129,8 +129,9 @@ pub struct SimResult {
     pub r_ratio: f64,
     /// `r_s = E[R_s]/E[N]`.
     pub rs_ratio: f64,
-    /// Little's-law delay `E[N] / throughput` — should agree with
-    /// `avg_delay` when the run is long enough.
+    /// Little's-law delay `E[N] / λ`, with `λ = generated / measure_time`
+    /// the post-warmup arrival rate — should agree with `avg_delay` on a
+    /// long, stable run where nothing drops.
     pub little_delay: f64,
     /// Highest per-edge busy fraction observed.
     pub max_edge_utilization: f64,
@@ -390,6 +391,23 @@ pub(crate) fn q_pop(edge: &mut EdgeState, qnext: &[u32]) -> u32 {
     pid
 }
 
+/// Little's-law delay `T = E[N] / λ` of a measurement window of length
+/// `measure_time`, with `λ = generated / measure_time` the rate at which
+/// packets entered the system after warmup.
+///
+/// The rate must count arrivals, not deliveries: `completed` misses the
+/// packets still in flight at the horizon (about `λ·T` of them), so
+/// dividing by the delivery rate overstates `T` by about `T / measure_time`
+/// — over 10% on short runs. Zero when nothing was generated.
+pub(crate) fn little_delay(time_avg_n: f64, generated: u64, measure_time: f64) -> f64 {
+    let arrival_rate = generated as f64 / measure_time;
+    if arrival_rate > 0.0 {
+        time_avg_n / arrival_rate
+    } else {
+        0.0
+    }
+}
+
 /// Precomputed fast-path data the `Auto` engine attaches to a run. Each
 /// piece is independent: route tables are size-gated, service times only
 /// exist for the deterministic distribution.
@@ -598,10 +616,26 @@ where
             EngineSpec::Calendar => self.run_with(wall, CalendarQueue::for_simulation(cap), None),
             EngineSpec::Auto => {
                 let tables = self.build_tables();
-                self.run_with(wall, CalendarQueue::for_simulation(cap), Some(tables))
+                if self.constant_service_time() {
+                    // The calendar keeps about one pending arrival per
+                    // source; departures ride the lane.
+                    let queue = LaneQueue::for_simulation(self.sources.len());
+                    self.run_with(wall, queue, Some(tables))
+                } else {
+                    self.run_with(wall, CalendarQueue::for_simulation(cap), Some(tables))
+                }
             }
             EngineSpec::Sharded { shards } => crate::shard::run_sharded(self, wall, shards),
         }
+    }
+
+    /// Whether every service takes the same fixed time: deterministic
+    /// service with one rate on every edge (the paper's unit-time model).
+    /// Departures are then scheduled in time order, so the engines that
+    /// precompute service times put them on a [`LaneQueue`] lane.
+    pub(crate) fn constant_service_time(&self) -> bool {
+        self.cfg.service == ServiceKind::Deterministic
+            && self.service_rates.windows(2).all(|w| w[0] == w[1])
     }
 
     /// The Poisson rate of source `i` (by position in the source list).
@@ -985,7 +1019,6 @@ where
         let time_avg_n = obs.n_sys.integral(cfg.horizon) / measure_time;
         let time_avg_r = obs.r_total.integral(cfg.horizon) / measure_time;
         let time_avg_rs = obs.rs_total.integral(cfg.horizon) / measure_time;
-        let throughput = obs.completed as f64 / measure_time;
         let max_util = obs.edge_busy.iter().cloned().fold(0.0f64, f64::max) / measure_time;
         Ok(SimResult {
             avg_delay: obs.delay.mean(),
@@ -1011,11 +1044,7 @@ where
             } else {
                 0.0
             },
-            little_delay: if throughput > 0.0 {
-                time_avg_n / throughput
-            } else {
-                0.0
-            },
+            little_delay: little_delay(time_avg_n, obs.generated, measure_time),
             max_edge_utilization: max_util,
             edge_throughput: if obs.edge_services.len() <= STREAMING_STATS_MAX_EDGES {
                 obs.edge_services
@@ -1250,7 +1279,7 @@ where
             Some(d) => d,
             None => service.sample(rate, rng),
         };
-        queue.schedule(now + dur, Ev::Departure(edge_idx as u32));
+        queue.schedule_lane(now + dur, Ev::Departure(edge_idx as u32));
     }
 }
 

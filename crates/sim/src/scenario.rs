@@ -1093,6 +1093,15 @@ impl Scenario {
             .unwrap_or_else(|e| panic!("invalid source model: {e}"))
     }
 
+    /// The key under which the process-wide unit-rate cache memoizes a
+    /// scenario's edge rates at `λ = 1`: everything the rate solve reads.
+    /// Scenarios with equal keys (a sweep's cells that differ only in
+    /// load, faults, seed or horizon) share one solve.
+    #[must_use]
+    pub fn rate_key(&self) -> String {
+        format!("{:?}|{:?}|{:?}", self.topology, self.router, self.traffic)
+    }
+
     /// Per-edge arrival rates at mean rate `λ = 1`, memoized per
     /// `(topology, router, traffic)` triple.
     ///
@@ -1119,7 +1128,7 @@ impl Scenario {
         if !cacheable {
             return self.unit_rates_uncached();
         }
-        let key = format!("{:?}|{:?}|{:?}", self.topology, self.router, self.traffic);
+        let key = self.rate_key();
         let cache = CACHE.get_or_init(|| Mutex::new(HashMap::new()));
         if let Some(hit) = cache.lock().expect("unit-rate cache poisoned").get(&key) {
             return Ok(hit.as_ref().clone());

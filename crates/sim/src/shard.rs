@@ -7,8 +7,16 @@
 //! ([`Partition::contiguous`]); each directed edge belongs to the shard of
 //! its **source** node, so every enqueue a shard performs is on an edge it
 //! owns. Each shard runs the same hot loop as the single-core engines on
-//! its own calendar queue, its own RNG stream (`derive_rng(seed, shard)`)
+//! its own event list, its own RNG stream (`derive_rng(seed, shard)`)
 //! and its own [`Observer`], so threads share nothing mutable.
+//!
+//! The event list is a [`LaneQueue`] when every edge has the same
+//! deterministic service time (the paper's unit-time model): departures,
+//! all scheduled a fixed delay after their service start, ride its FIFO
+//! lane, while arrivals, handoffs, ticks and the epoch cut-off push-back
+//! stay on its calendar. Otherwise (exponential service, or per-edge
+//! rates that differ) it is a plain [`CalendarQueue`]. Both pop in the
+//! same `(time, seq)` order, so the choice never changes a result.
 //!
 //! Time is divided into epochs of length Δ, the **conservative lookahead**:
 //! the minimum service time over cut edges (edges whose source and target
@@ -36,7 +44,7 @@
 //! reruns and thread schedules**: all cross-thread data flows through the
 //! barrier exchange, whose merge order is deterministic, and everything
 //! else is shard-local. With `shards = 1` there are no cut edges and the
-//! single shard runs the calendar-queue hot loop verbatim, reproducing
+//! single shard runs the single-core hot loop verbatim, reproducing
 //! [`EngineSpec::Calendar`](crate::EngineSpec::Calendar) bit for bit
 //! (pinned in `tests/engine_equivalence.rs`). With `shards > 1` the RNG
 //! streams decompose differently, so the single-core engines act as the
@@ -57,11 +65,11 @@
 //! subsample of a uniform subsample rather than of the raw stream.
 
 use crate::engine::STREAMING_STATS_MAX_EDGES;
-use crate::events::{CalendarQueue, EventQueue};
+use crate::events::{CalendarQueue, EventQueue, LaneQueue};
 use crate::fault::{ttl_budget, DropCause, DropCounts, FaultPlan};
 use crate::network::{
-    q_pop, q_push, qtick, stall, EdgeState, EdgeThroughputStats, NetworkSim, Packet, QTrack,
-    SimError, SimResult, NIL,
+    little_delay, q_pop, q_push, qtick, stall, EdgeState, EdgeThroughputStats, NetworkSim, Packet,
+    QTrack, SimError, SimResult, NIL,
 };
 use crate::observer::Observer;
 use crate::rng::{derive_rng, exp_sample, poisson_sample};
@@ -151,7 +159,7 @@ struct ShardOut {
 
 /// A shard's mutable world. Everything in here is owned by exactly one
 /// thread; the only data leaving it mid-run are the outbox batches.
-struct Local<S> {
+struct Local<S, Q> {
     rng: SmallRng,
     obs: Observer,
     /// Owned edges, indexed by the shard-local dense edge index.
@@ -163,7 +171,7 @@ struct Local<S> {
     hand_node: Vec<NodeId>,
     qnext: Vec<u32>,
     free: Vec<u32>,
-    queue: CalendarQueue<SEv>,
+    queue: Q,
     /// Per-peer outgoing packets, flushed at each epoch boundary.
     outboxes: Vec<Batch<S>>,
     /// Whether each owned (local-indexed) edge crosses into another shard.
@@ -199,7 +207,7 @@ impl LocalView for ShardView<'_> {
     }
 }
 
-impl<S: Copy> Local<S> {
+impl<S: Copy, Q: EventQueue<SEv>> Local<S, Q> {
     /// Allocates a packet slot from the free list (or grows the slab),
     /// mirroring the single-core allocator; `hand_node` grows in lockstep.
     fn alloc(&mut self, pk: Packet<S>) -> u32 {
@@ -235,7 +243,7 @@ impl<S: Copy> Local<S> {
             .service
             .sample(sim.service_rates[ge as usize], &mut self.rng);
         let done = now + dur;
-        self.queue.schedule(done, SEv::Departure(ge));
+        self.queue.schedule_lane(done, SEv::Departure(ge));
         if self.is_cut[le] {
             let pid = self.edges[le].head;
             let pk = self.packets[pid as usize];
@@ -512,6 +520,7 @@ where
     let part_ref = &part;
     let sources_ref = &source_lists;
     let windows_ref = &windows;
+    let lane = sim.constant_service_time();
     let results: Vec<Result<ShardOut, Option<SimError>>> = std::thread::scope(|scope| {
         let handles: Vec<_> = txs
             .into_iter()
@@ -519,15 +528,35 @@ where
             .enumerate()
             .map(|(me, (tx_row, rx_row))| {
                 scope.spawn(move || {
-                    shard_loop(
-                        sim_ref,
-                        part_ref,
-                        me,
-                        &sources_ref[me],
-                        windows_ref,
-                        &tx_row,
-                        &rx_row,
-                    )
+                    let sources = &sources_ref[me];
+                    let n = sources.len().max(1);
+                    if lane {
+                        // Departures ride the lane; the calendar keeps
+                        // about one pending arrival per source.
+                        let queue = LaneQueue::for_simulation(n);
+                        shard_loop(
+                            sim_ref,
+                            part_ref,
+                            me,
+                            sources,
+                            windows_ref,
+                            &tx_row,
+                            &rx_row,
+                            queue,
+                        )
+                    } else {
+                        let queue = CalendarQueue::for_simulation(4 * n);
+                        shard_loop(
+                            sim_ref,
+                            part_ref,
+                            me,
+                            sources,
+                            windows_ref,
+                            &tx_row,
+                            &rx_row,
+                            queue,
+                        )
+                    }
                 })
             })
             .collect();
@@ -611,7 +640,7 @@ fn window_ends(cut: &[EdgeId], service_rates: &[f64], plan: &FaultPlan, horizon:
 /// disappears mid-run (its own error is reported from its thread) and
 /// `Err(Some(_))` for this shard's own structural failures.
 #[allow(clippy::too_many_arguments)]
-fn shard_loop<T, R, D>(
+fn shard_loop<T, R, D, Q>(
     sim: &NetworkSim<T, R, D>,
     part: &Partition,
     me: usize,
@@ -619,11 +648,13 @@ fn shard_loop<T, R, D>(
     windows: &[f64],
     tx_row: &[Option<SyncSender<Batch<R::State>>>],
     rx_row: &[Option<Receiver<Batch<R::State>>>],
+    queue: Q,
 ) -> Result<ShardOut, Option<SimError>>
 where
     T: Topology + Sync,
     R: Router<T> + Sync,
     D: DestSampler<T> + Sync,
+    Q: EventQueue<SEv>,
 {
     let cfg = &sim.cfg;
     let k = part.shards();
@@ -657,7 +688,7 @@ where
         hand_node: Vec::with_capacity(1024),
         qnext: Vec::with_capacity(1024),
         free: Vec::new(),
-        queue: CalendarQueue::for_simulation(4 * sources.len().max(1)),
+        queue,
         outboxes: (0..k).map(|_| Vec::new()).collect(),
         is_cut,
         cut_to,
@@ -717,9 +748,10 @@ where
         while let Some((t, ev)) = local.queue.next() {
             if t >= cutoff {
                 // Not ours to run yet: push it back (it re-enters the
-                // queue with a fresh sequence number, which is fine — any
-                // same-time peer it could tie with is also past the
-                // cutoff) and close the epoch.
+                // queue — the calendar, even for a lane departure — with
+                // a fresh sequence number, which is fine: any same-time
+                // peer it could tie with is also past the cutoff) and
+                // close the epoch.
                 local.queue.schedule(t, ev);
                 break;
             }
@@ -979,7 +1011,6 @@ where
     let time_avg_n = n_integral / measure_time;
     let time_avg_r = r_integral / measure_time;
     let time_avg_rs = rs_integral / measure_time;
-    let throughput = completed as f64 / measure_time;
 
     // Scatter the shard-local per-edge tallies back to global indexing.
     let num_edges = sim.topo.num_edges();
@@ -1053,11 +1084,7 @@ where
         } else {
             0.0
         },
-        little_delay: if throughput > 0.0 {
-            time_avg_n / throughput
-        } else {
-            0.0
-        },
+        little_delay: little_delay(time_avg_n, generated, measure_time),
         max_edge_utilization: max_util,
         edge_throughput: if num_edges <= STREAMING_STATS_MAX_EDGES {
             edge_services

@@ -156,3 +156,40 @@ fn edge_queue_sum_consistent_with_total_r() {
         res.time_avg_n
     );
 }
+
+#[test]
+fn littles_law_holds_on_short_horizons() {
+    // Regression: the cross-check once divided E[N] by the *delivery*
+    // rate `completed / (H − W)`. That misses the ~λT packets still in
+    // flight at the horizon, so it overstated T by about T / (H − W) —
+    // here by more than 10%. The arrival rate has no such bias.
+    //
+    // `avg_delay` itself is biased on a short window, the other way: it
+    // averages delivered packets only, and the slow ones are the likeliest
+    // to be cut off, which lowers the mean by about σ² / (H − W) (σ² the
+    // delay variance). The comparison adds that term back, so what is
+    // left is noise.
+    let window = 150.0;
+    for seed in [1, 2, 3] {
+        let res = Scenario::mesh(20)
+            .load(Load::TableRho(0.5))
+            .warmup(300.0)
+            .horizon(300.0 + window)
+            .seed(seed)
+            .run();
+        let by_delivery = res.time_avg_n / (res.completed as f64 / res.measure_time);
+        assert!(
+            by_delivery / res.avg_delay - 1.0 > 0.10,
+            "seed {seed}: the window is too long to tell the estimators apart"
+        );
+        let variance = res.delay_std_err.powi(2) * res.completed as f64;
+        let uncensored = res.avg_delay + variance / window;
+        let rel = (res.little_delay - uncensored).abs() / uncensored;
+        assert!(
+            rel < 0.015,
+            "seed {seed}: Little {} vs delay {} (uncensored {uncensored}, rel {rel:.4})",
+            res.little_delay,
+            res.avg_delay
+        );
+    }
+}

@@ -263,6 +263,37 @@ fn engines_agree_for_nonuniform_destinations_and_rates() {
     check_all_engines(hc);
 }
 
+#[test]
+fn departure_lane_follows_the_service_time_rule() {
+    // `auto` and `sharded:<N>` put departures on a FIFO lane only when
+    // every edge has one deterministic service time. Two distinct rates
+    // must keep the calendar-only path (a lane would receive departures
+    // out of time order), and still match the heap bit for bit.
+    let mixed: Vec<f64> = (0..48)
+        .map(|e| if e % 3 == 0 { 1.25 } else { 1.0 })
+        .collect();
+    let sc = Scenario::mesh(4)
+        .load(Load::Lambda(0.15))
+        .horizon(900.0)
+        .warmup(90.0)
+        .seed(37);
+    check_all_engines(sc.clone().service_rates(mixed));
+
+    // A uniform non-unit rate puts every departure 1/1.5 after its
+    // service start: the lane is used with a delay other than 1.
+    let uniform = sc.service_rates(vec![1.5; 48]);
+    let label = uniform.spec_string();
+    let calendar = uniform.clone().engine(EngineSpec::Calendar).run();
+    let one = uniform
+        .clone()
+        .engine(EngineSpec::Sharded { shards: 1 })
+        .run();
+    assert_bit_identical(&format!("{label} sharded:1-vs-calendar"), &calendar, &one);
+    let two = uniform.engine(EngineSpec::Sharded { shards: 2 });
+    let (a, b) = (two.clone().run(), two.run());
+    assert_bit_identical(&format!("{label} sharded:2 rerun"), &a, &b);
+}
+
 /// The sharded-oracle operating points: small members of the families the
 /// conservative parallel engine supports, at a load where queues form.
 fn sharded_cases() -> Vec<Scenario> {
