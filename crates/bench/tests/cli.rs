@@ -98,3 +98,63 @@ fn faulted_reruns_are_bit_identical_on_both_engines() {
         assert!(stdout.contains("degraded: delivered"), "{stdout}");
     }
 }
+
+/// Runs `repro` with a wall-clock limit, killing it on expiry so a spec
+/// that never finishes fails the test instead of hanging it.
+fn repro_within(args: &[&str], limit: std::time::Duration) -> Output {
+    use std::io::Read;
+    let mut child = Command::new(env!("CARGO_BIN_EXE_repro"))
+        .args(args)
+        .stdout(std::process::Stdio::null())
+        .stderr(std::process::Stdio::piped())
+        .spawn()
+        .expect("spawn repro");
+    let start = std::time::Instant::now();
+    let status = loop {
+        if let Some(status) = child.try_wait().expect("wait on repro") {
+            break status;
+        }
+        if start.elapsed() > limit {
+            let _ = child.kill();
+            let _ = child.wait();
+            panic!("repro {args:?} still running after {limit:?}");
+        }
+        std::thread::sleep(std::time::Duration::from_millis(20));
+    };
+    let mut stderr = Vec::new();
+    child
+        .stderr
+        .take()
+        .expect("piped stderr")
+        .read_to_end(&mut stderr)
+        .expect("read stderr");
+    Output {
+        status,
+        stdout: Vec::new(),
+        stderr,
+    }
+}
+
+#[test]
+fn tick_intervals_that_never_finish_are_refused() {
+    // Each interval fires horizon / dt times; far past the tick cap the
+    // clock cannot even advance (`now + dt == now`) or the probe stride
+    // overflows. Such specs must be refused up front — exit 2, one
+    // `repro: …` line naming the key — not hang or panic.
+    for (spec, key) in [
+        ("mesh:3 probes=nsys@1e-20", "probes"),
+        ("mesh:3 sample=1e-13", "sample"),
+        ("mesh:3 slot=1e-13", "slot"),
+    ] {
+        let out = repro_within(&["scenario", spec], std::time::Duration::from_secs(60));
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{spec}: {stderr}");
+        let first = stderr.lines().next().unwrap_or_default();
+        assert!(first.starts_with("repro:"), "{spec}: {stderr}");
+        assert!(
+            first.contains(key) && first.contains("ticks"),
+            "{spec}: {first}"
+        );
+        assert!(!stderr.contains("panicked"), "{spec}: {stderr}");
+    }
+}

@@ -1,21 +1,25 @@
 //! Hot-path engine selection for [`NetworkSim::run`](crate::NetworkSim::run).
 //!
-//! Every single-core engine produces **bit-identical**
-//! [`SimResult`](crate::SimResult)s for the same scenario and seed — the
-//! engine choice moves wall-clock time, never a single reported number.
-//! The cross-engine equivalence suite (`tests/engine_equivalence.rs`) pins
-//! that guarantee across all topologies and both time modes.
+//! Every engine runs the same event loop (`crate::shard`); an engine only
+//! picks a shard count, a future-event list and whether precomputed route
+//! tables are used. The one-shard engines — [`EngineSpec::Auto`],
+//! [`EngineSpec::Heap`], [`EngineSpec::Calendar`] and `sharded:1` —
+//! produce **bit-identical** [`SimResult`](crate::SimResult)s for the same
+//! scenario and seed: the choice moves wall-clock time, never a single
+//! reported number. The cross-engine equivalence suite
+//! (`tests/engine_equivalence.rs`) pins that guarantee across all
+//! topologies and both time modes.
 //!
-//! The parallel engine ([`EngineSpec::Sharded`]) has a weaker but still
-//! hard contract: for a fixed `(seed, shard_count)` it is bit-identical
-//! across reruns and thread schedules, and the single-core engines remain
-//! its statistical oracle (delay, throughput and conservation-law ratios
-//! agree within replication noise; see `crate::shard`).
+//! With more than one shard the contract is weaker but still hard: for a
+//! fixed `(seed, shard_count)` a run is bit-identical across reruns and
+//! thread schedules, and the one-shard engines remain its statistical
+//! oracle (delay, throughput and conservation-law ratios agree within
+//! replication noise; see `crate::shard`).
 
 use serde::{Deserialize, Serialize};
 
-/// Node-count gate above which [`EngineSpec::Auto`] skips the precomputed
-/// route tables. A table stores one packed `u32` per `(node, destination)`
+/// Node-count gate above which [`EngineSpec::Auto`] and
+/// [`EngineSpec::Sharded`] skip the precomputed route tables. A table stores one packed `u32` per `(node, destination)`
 /// pair, so the gate caps table memory at 512² × 4 B = 1 MiB — sized to
 /// stay L2-resident on current hardware; beyond that a cache-missing
 /// lookup costs more than the coordinate arithmetic it replaces, so the
@@ -43,26 +47,29 @@ pub const SPARSE_RATES_MIN_NODES: usize = ROUTE_TABLE_MAX_NODES;
 /// published small-scale results are untouched bit-for-bit.
 pub const STREAMING_STATS_MAX_EDGES: usize = 1 << 16;
 
-/// Which engine drives the simulator's hot loop.
+/// Which engine drives the simulator's hot loop: a shard count, an
+/// event list and a routing path for the one shared event loop.
 ///
-/// * [`EngineSpec::Auto`] (the default) — calendar-queue future-event list
-///   plus precomputed route tables when the topology fits under
-///   [`ROUTE_TABLE_MAX_NODES`] and the router is deterministic (randomized
-///   routers carry per-packet state, so they keep the on-the-fly path).
+/// * [`EngineSpec::Auto`] (the default) — one shard on a calendar-queue
+///   future-event list, plus precomputed route tables when the topology
+///   fits under [`ROUTE_TABLE_MAX_NODES`], the router is deterministic
+///   (randomized and adaptive routers carry per-packet state or read live
+///   queues, so they keep the on-the-fly path) and no fault plan is set.
 ///   When every edge has the same deterministic service time (the paper's
 ///   unit-time model), departures ride the FIFO lane of a
 ///   [`LaneQueue`](crate::events::LaneQueue) instead of the calendar.
-/// * [`EngineSpec::Heap`] — the binary-heap future-event list with
-///   on-the-fly routing: the pre-overhaul baseline, kept as the reference
-///   implementation and the benchmark yardstick.
-/// * [`EngineSpec::Calendar`] — calendar queue with on-the-fly routing
-///   (isolates the event-queue contribution in ablations).
+/// * [`EngineSpec::Heap`] — one shard on the binary-heap future-event
+///   list with on-the-fly routing: the reference implementation, kept as
+///   the test oracle and the benchmark yardstick.
+/// * [`EngineSpec::Calendar`] — one shard on the calendar queue with
+///   on-the-fly routing (isolates the event-queue contribution in
+///   ablations).
 /// * [`EngineSpec::Sharded`] — conservative parallel DES: the topology is
-///   partitioned into `shards` node blocks, each runs its own calendar
-///   queue (a [`LaneQueue`](crate::events::LaneQueue) under the same
-///   rule as `Auto`) on its own thread, and cross-shard packets are exchanged at
-///   epoch boundaries (see `crate::shard`). Requires deterministic
-///   service times (the lookahead is the minimum cut-edge service time).
+///   partitioned into `shards` node blocks, each on its own thread with
+///   the event list and route tables of `Auto`, and cross-shard packets
+///   are exchanged at epoch boundaries (see `crate::shard`). More than
+///   one shard requires deterministic service times (the lookahead is the
+///   minimum cut-edge service time).
 ///
 /// # Examples
 ///
@@ -85,15 +92,15 @@ pub const STREAMING_STATS_MAX_EDGES: usize = 1 << 16;
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum EngineSpec {
-    /// Calendar queue (with a departure lane under uniform deterministic
-    /// service) + route tables where eligible (the default).
+    /// One shard: calendar queue (with a departure lane under uniform
+    /// deterministic service) + route tables where eligible (the default).
     Auto,
-    /// Binary-heap event list, on-the-fly routing (the baseline).
+    /// One shard: binary-heap event list, on-the-fly routing (the oracle).
     Heap,
-    /// Calendar queue, on-the-fly routing.
+    /// One shard: calendar queue, on-the-fly routing.
     Calendar,
-    /// Conservative parallel DES over `shards` node shards, one thread
-    /// per shard (spec form `sharded:<N>`, or the `shards=<N>` key).
+    /// `shards` node shards, one thread each, with `Auto`'s event list
+    /// and route tables (spec form `sharded:<N>`, or the `shards=<N>` key).
     Sharded {
         /// Requested shard count (clamped to `[1, num_nodes]` at run
         /// time; determinism depends on the requested count, not the
@@ -112,10 +119,11 @@ impl Default for EngineSpec {
 }
 
 impl EngineSpec {
-    /// The single-core engines, in the order benchmarks and sweeps
-    /// enumerate them. These are the bit-identical family; the sharded
-    /// engine is excluded because its contract is per-(seed, shards)
-    /// determinism, not cross-engine bit-identity.
+    /// The named one-shard engines, in the order benchmarks and sweeps
+    /// enumerate them. They run the same loop on one shard and agree bit
+    /// for bit (as does `sharded:1`); [`EngineSpec::Sharded`] is left out
+    /// because it takes a count, and above one shard its contract is
+    /// per-`(seed, shards)` determinism, not cross-engine bit-identity.
     pub const ALL: [EngineSpec; 3] = [EngineSpec::Auto, EngineSpec::Heap, EngineSpec::Calendar];
 
     /// The spec-string family name (`"auto"`, `"heap"`, `"calendar"`,

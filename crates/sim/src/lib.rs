@@ -20,9 +20,9 @@
 //! [`Load`] convention, runs single simulations ([`Scenario::run`]) or
 //! Rayon-parallel replications ([`Scenario::run_replicated`]), and parses
 //! compact command-line specs ([`Scenario::parse`]). Simulations are
-//! deterministic given a seed; the conservative parallel engine in
-//! [`shard`] runs one scenario across threads with per-`(seed, shards)`
-//! determinism.
+//! deterministic given a seed. Every engine runs the one event loop in
+//! [`shard`]; with more than one shard it runs a scenario across threads
+//! with per-`(seed, shards)` determinism.
 //!
 //! # Quickstart
 //!

@@ -6,39 +6,39 @@
 //! at slot boundaries in slotted mode, §5.2), routed incrementally by a
 //! [`Router`], and leave the system on reaching their destination.
 //!
-//! The hot loop allocates nothing per event and is driven by a selectable
-//! engine ([`EngineSpec`] on [`NetConfig`]):
+//! [`NetworkSim`] holds the model (topology, router, destinations, rates,
+//! fault plan) and [`NetworkSim::try_run`] picks the engine
+//! ([`EngineSpec`] on [`NetConfig`]): a shard count, a future-event list
+//! and whether precomputed route tables are used. Every engine then runs
+//! the same event loop, in `crate::shard`:
 //!
-//! * the **future-event list** is either the reference binary heap or the
-//!   O(1)-amortized calendar queue (the default);
 //! * **routing** calls [`Router::next_hop`] at every dequeue with a live
-//!   [`LocalView`] of the switch's output queues (`QueueView`) — the
-//!   per-hop `RoutingPolicy` surface under which oblivious routers recompute
-//!   their Markovian next edge (Corollary 4) and adaptive turn-model routers
-//!   steer around congestion — or, for deterministic routers on gated sizes,
-//!   reads hops from a precomputed [`RouteTable`] together with route
+//!   [`LocalView`](meshbound_routing::LocalView) of the switch's output
+//!   queues — the per-hop `RoutingPolicy` surface under which oblivious
+//!   routers recompute their Markovian next edge (Corollary 4) and
+//!   adaptive turn-model routers steer around congestion — or, for
+//!   deterministic routers on gated sizes, reads hops from a precomputed
+//!   [`RouteTable`](meshbound_routing::RouteTable) together with route
 //!   lengths and saturated-hop counts;
 //! * **edge queues** are intrusive linked lists threaded through one shared
-//!   slab (`next[pid]`), so an edge's state is two `u32` cursors and the
+//!   slab (`qnext[pid]`), so an edge's state is two `u32` cursors and the
 //!   whole network's queue storage is a single allocation;
-//! * packet records live in a free-list slab.
+//! * packet records live in a free-list slab, and the loop allocates
+//!   nothing per event.
 //!
-//! Engines are bit-identical by construction: every event pops in the same
-//! `(time, seq)` order and every random draw happens in the same sequence,
-//! so `SimResult` is invariant under the engine choice (pinned by
-//! `tests/engine_equivalence.rs`).
+//! The one-shard engines are bit-identical by construction: every event
+//! pops in the same `(time, seq)` order and every random draw happens in
+//! the same sequence, so `SimResult` is invariant under the choice (pinned
+//! by `tests/engine_equivalence.rs`).
 
-use crate::engine::{EngineSpec, ROUTE_TABLE_MAX_NODES, STREAMING_STATS_MAX_EDGES};
-use crate::events::{CalendarQueue, EventQueue, HeapQueue, LaneQueue};
-use crate::fault::{ttl_budget, DropCause, DropCounts, FaultPlan};
-use crate::observer::Observer;
-use crate::rng::{derive_rng, exp_sample, poisson_sample};
+use crate::engine::EngineSpec;
+use crate::fault::{DropCounts, FaultPlan};
 use crate::service::ServiceKind;
-use crate::telemetry::{ProbeSample, ProbeSpec, Recorder, TelemetryReport};
+use crate::shard::EventList;
+use crate::telemetry::{ProbeSpec, TelemetryReport};
 use meshbound_routing::dest::DestSampler;
-use meshbound_routing::{LocalView, RouteOutcome, RouteTable, Router, ZeroView};
+use meshbound_routing::{Router, ZeroView};
 use meshbound_topology::{EdgeId, NodeId, Topology};
-use rand::rngs::SmallRng;
 use serde::{Deserialize, Serialize};
 use std::time::Instant;
 
@@ -136,7 +136,7 @@ pub struct SimResult {
     /// Highest per-edge busy fraction observed.
     pub max_edge_utilization: f64,
     /// Per-edge empirical service throughput (completions per unit time).
-    /// Materialized only up to [`STREAMING_STATS_MAX_EDGES`] edges; above
+    /// Materialized only up to [`STREAMING_STATS_MAX_EDGES`](crate::engine::STREAMING_STATS_MAX_EDGES) edges; above
     /// that scale the vector is empty and [`SimResult::edge_throughput_stats`]
     /// carries the streaming summary instead.
     pub edge_throughput: Vec<f64>,
@@ -154,8 +154,8 @@ pub struct SimResult {
     pub measure_time: f64,
     /// Future-event-list events processed over the whole run (arrivals,
     /// departures, slot/sample/warmup ticks). Deterministic given the
-    /// seed, so the single-core engines must agree on it bit for bit.
-    /// The sharded engine replicates its per-shard ticks and adds one
+    /// seed, so the one-shard engines must agree on it bit for bit.
+    /// With more than one shard the engine replicates its per-shard ticks and adds one
     /// handoff event per cross-shard packet transfer, so its count is
     /// comparable only across runs of the same `(seed, shards)` pair.
     pub events_processed: u64,
@@ -237,197 +237,6 @@ impl std::fmt::Display for SimError {
 }
 
 impl std::error::Error for SimError {}
-
-/// The short type name of a router (the last path segment), for
-/// [`SimError::RouterStalled`].
-pub(crate) fn router_name<R: ?Sized>() -> &'static str {
-    let full = std::any::type_name::<R>();
-    full.rsplit("::").next().unwrap_or(full)
-}
-
-/// The one [`SimError::RouterStalled`] construction site shared by every
-/// engine: a packet stuck at `node` heading for `dst` under router `R`.
-pub(crate) fn stall<R: ?Sized>(node: NodeId, dst: NodeId) -> SimError {
-    SimError::RouterStalled {
-        node,
-        dst,
-        router: router_name::<R>(),
-    }
-}
-
-#[derive(Debug, Clone, Copy, PartialEq)]
-enum Ev {
-    /// Next external arrival at `sources[idx]`.
-    Arrival(u32),
-    /// Service completion at edge.
-    Departure(u32),
-    /// Slot boundary (slotted mode).
-    Slot,
-    /// Warmup boundary.
-    Warmup,
-    /// `N(t)` sampling tick.
-    Sample,
-    /// Liveness transition `k` of the run's fault plan. Scheduled only
-    /// when a plan is installed, so fault-free runs process the exact
-    /// pre-fault event sequence.
-    Fault(u32),
-    /// Telemetry probe tick. Scheduled only when probes are configured;
-    /// the handler reads engine state, draws no randomness and mutates
-    /// nothing, and its event count is subtracted at result assembly, so
-    /// probed runs stay bit-identical to unprobed ones.
-    Probe,
-}
-
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct Packet<S> {
-    pub(crate) dst: NodeId,
-    pub(crate) state: S,
-    pub(crate) gen_time: f64,
-    /// Remaining misroute budget ([`ttl_budget`] of the route length),
-    /// decremented per hop; consulted only when a fault plan is active.
-    pub(crate) ttl: u32,
-}
-
-/// Sentinel for "no packet" in the intrusive edge-queue lists.
-pub(crate) const NIL: u32 = u32::MAX;
-
-/// One directed edge's server state — the hot 24 bytes touched on every
-/// enqueue/departure. The FIFO queue is an intrusive linked list threaded
-/// through the shared `qnext` slab (indexed by packet id), so an edge owns
-/// no heap allocation — just head/tail cursors. The optional
-/// queue-length-integral tracking lives in a separate cold array
-/// ([`QTrack`]) so the default configuration keeps the edge array compact.
-#[derive(Debug)]
-pub(crate) struct EdgeState {
-    /// Packet in service (when busy) and head of the waiting line.
-    pub(crate) head: u32,
-    /// Last packet in the line (`NIL` when empty).
-    pub(crate) tail: u32,
-    /// Queue length including the packet in service.
-    pub(crate) qlen: u32,
-    pub(crate) busy: bool,
-    pub(crate) service_start: f64,
-}
-
-impl Default for EdgeState {
-    fn default() -> Self {
-        Self {
-            head: NIL,
-            tail: NIL,
-            qlen: 0,
-            busy: false,
-            service_start: 0.0,
-        }
-    }
-}
-
-/// The engine's live [`LocalView`]: per-output-port queue occupancy read
-/// straight off the edge-state slab. Handed to [`Router::next_hop`] at
-/// every dequeue, so adaptive policies see the congestion of the instant
-/// they decide in — including the effect of earlier decisions at the same
-/// switch.
-pub(crate) struct QueueView<'a> {
-    pub(crate) edges: &'a [EdgeState],
-    /// Per-edge liveness under the run's fault plan; the empty slice means
-    /// "no plan" and reports every edge live at zero cost.
-    pub(crate) live: &'a [bool],
-}
-
-impl LocalView for QueueView<'_> {
-    #[inline]
-    fn queue_len(&self, e: EdgeId) -> u32 {
-        self.edges[e.index()].qlen
-    }
-
-    #[inline]
-    fn is_live(&self, e: EdgeId) -> bool {
-        self.live.is_empty() || self.live[e.index()]
-    }
-}
-
-/// Cold per-edge tracking state: time-weighted queue-length integral and
-/// its last update time (allocated only under `track_edge_queues`).
-#[derive(Debug, Clone, Copy, Default)]
-pub(crate) struct QTrack {
-    pub(crate) integral: f64,
-    pub(crate) last: f64,
-}
-
-/// Accumulates an edge's queue-length integral up to `now` (post-warmup
-/// clipping happens at extraction time via the warmup reset).
-#[inline]
-pub(crate) fn qtick(t: &mut QTrack, qlen: u32, now: f64) {
-    t.integral += f64::from(qlen) * (now - t.last);
-    t.last = now;
-}
-
-/// Appends `pid` to an edge's intrusive FIFO (`qnext` is the shared slab).
-#[inline]
-pub(crate) fn q_push(edge: &mut EdgeState, qnext: &mut Vec<u32>, pid: u32) {
-    let i = pid as usize;
-    if qnext.len() <= i {
-        qnext.resize(i + 1, NIL);
-    }
-    qnext[i] = NIL;
-    if edge.tail == NIL {
-        edge.head = pid;
-    } else {
-        qnext[edge.tail as usize] = pid;
-    }
-    edge.tail = pid;
-    edge.qlen += 1;
-}
-
-/// Removes and returns the head-of-line packet of an edge's FIFO.
-#[inline]
-pub(crate) fn q_pop(edge: &mut EdgeState, qnext: &[u32]) -> u32 {
-    debug_assert!(edge.head != NIL, "departure from empty edge");
-    let pid = edge.head;
-    edge.head = qnext[pid as usize];
-    if edge.head == NIL {
-        edge.tail = NIL;
-    }
-    edge.qlen -= 1;
-    pid
-}
-
-/// Little's-law delay `T = E[N] / λ` of a measurement window of length
-/// `measure_time`, with `λ = generated / measure_time` the rate at which
-/// packets entered the system after warmup.
-///
-/// The rate must count arrivals, not deliveries: `completed` misses the
-/// packets still in flight at the horizon (about `λ·T` of them), so
-/// dividing by the delivery rate overstates `T` by about `T / measure_time`
-/// — over 10% on short runs. Zero when nothing was generated.
-pub(crate) fn little_delay(time_avg_n: f64, generated: u64, measure_time: f64) -> f64 {
-    let arrival_rate = generated as f64 / measure_time;
-    if arrival_rate > 0.0 {
-        time_avg_n / arrival_rate
-    } else {
-        0.0
-    }
-}
-
-/// Precomputed fast-path data the `Auto` engine attaches to a run. Each
-/// piece is independent: route tables are size-gated, service times only
-/// exist for the deterministic distribution.
-struct EngineTables {
-    /// Next hop, distance and edge targets for the (deterministic)
-    /// router, when the topology passes the size gate.
-    routes: Option<RouteTable>,
-    /// Saturated hops per `(src, dst)` pair, when `R_s` is tracked and a
-    /// route table exists.
-    sat_counts: Option<Vec<u32>>,
-    /// Per-edge service times, when the service distribution is
-    /// deterministic (saves a division per service start).
-    det_service: Option<Vec<f64>>,
-}
-
-/// The deterministic service time of edge `ei`, when precomputed.
-#[inline]
-fn det_of(det: Option<&[f64]>, ei: usize) -> Option<f64> {
-    det.map(|d| d[ei])
-}
 
 /// The generic FIFO network simulator.
 ///
@@ -556,36 +365,12 @@ where
         self
     }
 
-    /// Builds the `Auto` engine's precomputed tables. Route tables require
-    /// a deterministic router and a topology under the size gate; the
-    /// deterministic-service precompute applies regardless.
-    fn build_tables(&self) -> EngineTables {
-        // Route tables are blind to liveness, so fault runs stay on the
-        // on-the-fly routing path.
-        let routes = (self.fault_plan.is_empty()
-            && self.router.is_route_deterministic()
-            && self.topo.num_nodes() <= ROUTE_TABLE_MAX_NODES
-            && RouteTable::fits(&self.topo))
-        .then(|| RouteTable::build(&self.topo, &self.router));
-        let sat_counts = match (&routes, self.track_saturated) {
-            (Some(r), true) => Some(r.saturated_counts(&self.sat_edge)),
-            _ => None,
-        };
-        let det_service = (self.cfg.service == ServiceKind::Deterministic)
-            .then(|| self.service_rates.iter().map(|r| 1.0 / r).collect());
-        EngineTables {
-            routes,
-            sat_counts,
-            det_service,
-        }
-    }
-
     /// Runs the simulation to the horizon and returns aggregate statistics.
     ///
-    /// The single-core engines named by [`NetConfig::engine`] only move
-    /// wall-clock time; their returned statistics are bit-identical. The
-    /// sharded engine is bit-identical per `(seed, shards)` pair and
-    /// statistically equivalent to the single-core engines (see
+    /// The one-shard engines named by [`NetConfig::engine`] only move
+    /// wall-clock time; their returned statistics are bit-identical. With
+    /// more than one shard a run is bit-identical per `(seed, shards)`
+    /// pair and statistically equivalent to the one-shard engines (see
     /// `crate::shard`).
     ///
     /// # Panics
@@ -607,32 +392,36 @@ where
     /// triple.
     pub fn try_run(self) -> Result<SimResult, SimError> {
         // The throughput clock starts before any engine setup, so
-        // `events_per_sec` charges the Auto engine for its table builds —
+        // `events_per_sec` charges every engine for its table builds —
         // ev/s and wall-clock comparisons across engines stay consistent.
         let wall = Instant::now();
-        let cap = 4 * self.sources.len();
-        match self.cfg.engine {
-            EngineSpec::Heap => self.run_with(wall, HeapQueue::with_capacity(cap), None),
-            EngineSpec::Calendar => self.run_with(wall, CalendarQueue::for_simulation(cap), None),
-            EngineSpec::Auto => {
-                let tables = self.build_tables();
-                if self.constant_service_time() {
-                    // The calendar keeps about one pending arrival per
-                    // source; departures ride the lane.
-                    let queue = LaneQueue::for_simulation(self.sources.len());
-                    self.run_with(wall, queue, Some(tables))
-                } else {
-                    self.run_with(wall, CalendarQueue::for_simulation(cap), Some(tables))
-                }
-            }
-            EngineSpec::Sharded { shards } => crate::shard::run_sharded(self, wall, shards),
-        }
+        let lane_or_calendar = if self.constant_service_time() {
+            EventList::Lane
+        } else {
+            EventList::Calendar
+        };
+        let (shards, list, route_tables) = match self.cfg.engine {
+            EngineSpec::Auto => (1, lane_or_calendar, true),
+            EngineSpec::Heap => (1, EventList::Heap, false),
+            EngineSpec::Calendar => (1, EventList::Calendar, false),
+            EngineSpec::Sharded { shards } => (shards, lane_or_calendar, true),
+        };
+        crate::shard::run(self, wall, shards, list, route_tables)
     }
+}
 
+/// Crate-internal helpers the event loop reads.
+impl<T, R, D> NetworkSim<T, R, D>
+where
+    T: Topology,
+    R: Router<T>,
+    D: DestSampler<T>,
+{
     /// Whether every service takes the same fixed time: deterministic
     /// service with one rate on every edge (the paper's unit-time model).
-    /// Departures are then scheduled in time order, so the engines that
-    /// precompute service times put them on a [`LaneQueue`] lane.
+    /// Departures are then scheduled in time order, so `auto` and
+    /// `sharded:<N>` put them on a [`LaneQueue`](crate::events::LaneQueue)
+    /// lane.
     pub(crate) fn constant_service_time(&self) -> bool {
         self.cfg.service == ServiceKind::Deterministic
             && self.service_rates.windows(2).all(|w| w[0] == w[1])
@@ -645,575 +434,6 @@ where
             Some(r) => r[i],
             None => self.cfg.lambda,
         }
-    }
-
-    /// The engine-generic hot loop.
-    fn run_with<Q: EventQueue<Ev>>(
-        self,
-        wall: Instant,
-        mut queue: Q,
-        tables: Option<EngineTables>,
-    ) -> Result<SimResult, SimError> {
-        // Hoist the table views out of the loop: one flat Option each.
-        let routes: Option<&RouteTable> = tables.as_ref().and_then(|t| t.routes.as_ref());
-        let sat_counts: Option<&[u32]> = tables.as_ref().and_then(|t| t.sat_counts.as_deref());
-        let det: Option<&[f64]> = tables.as_ref().and_then(|t| t.det_service.as_deref());
-        let cfg = self.cfg.clone();
-        let num_edges = self.topo.num_edges();
-        let mut rng = derive_rng(cfg.seed, 0);
-        let mut obs = Observer::new(num_edges, cfg.warmup);
-        if cfg.delay_quantiles {
-            obs.enable_delay_quantiles(1 << 16, cfg.seed ^ 0x5EED);
-        }
-        let mut edges: Vec<EdgeState> = (0..num_edges).map(|_| EdgeState::default()).collect();
-        let mut qtrack: Vec<QTrack> = if cfg.track_edge_queues {
-            vec![QTrack::default(); num_edges]
-        } else {
-            Vec::new()
-        };
-        let mut packets: Vec<Packet<R::State>> = Vec::with_capacity(1024);
-        let mut qnext: Vec<u32> = Vec::with_capacity(1024);
-        let mut free: Vec<u32> = Vec::new();
-        // Liveness mask under the fault plan. Kept empty on healthy runs
-        // so `QueueView::is_live` short-circuits and the hot loop stays
-        // on the exact pre-fault path.
-        let fault_active = !self.fault_plan.is_empty();
-        let mut live: Vec<bool> = if fault_active {
-            vec![true; num_edges]
-        } else {
-            Vec::new()
-        };
-
-        // Prime the event list. Zero-rate sources never get an arrival
-        // event; every positive-rate source draws in list order, so the
-        // uniform case consumes the RNG stream exactly as before.
-        match cfg.slot {
-            None => {
-                for i in 0..self.sources.len() {
-                    let rate = self.source_rate(i);
-                    if rate > 0.0 {
-                        let dt = exp_sample(&mut rng, rate);
-                        queue.schedule(dt, Ev::Arrival(i as u32));
-                    }
-                }
-            }
-            Some(tau) => {
-                assert!(tau > 0.0, "slot width must be positive");
-                queue.schedule(tau, Ev::Slot);
-            }
-        }
-        if cfg.warmup > 0.0 {
-            queue.schedule(cfg.warmup, Ev::Warmup);
-        }
-        if let Some(dt) = cfg.sample_every {
-            assert!(dt > 0.0);
-            queue.schedule(dt, Ev::Sample);
-        }
-        for (k, fe) in self.fault_plan.events.iter().enumerate() {
-            if fe.time <= cfg.horizon {
-                queue.schedule(fe.time, Ev::Fault(k as u32));
-            }
-        }
-        // Probe priming comes last so `probes=None` leaves the schedule
-        // call sequence — and hence every event sequence number — exactly
-        // as a pre-telemetry build produced it.
-        let mut recorder = cfg.probes.as_ref().map(|spec| {
-            let rec = Recorder::new(spec, cfg.horizon);
-            queue.schedule(rec.base(), Ev::Probe);
-            rec
-        });
-
-        let mut events_processed: u64 = 0;
-        let mut now;
-        while let Some((t, ev)) = queue.next() {
-            if t > cfg.horizon {
-                break;
-            }
-            events_processed += 1;
-            now = t;
-            match ev {
-                Ev::Warmup => {
-                    obs.reset_at_warmup();
-                    if cfg.track_edge_queues {
-                        for (edge, t) in edges.iter().zip(qtrack.iter_mut()) {
-                            qtick(t, edge.qlen, cfg.warmup);
-                            t.integral = 0.0;
-                        }
-                    }
-                }
-                Ev::Sample => {
-                    obs.sample_n(now);
-                    queue.schedule(now + cfg.sample_every.unwrap(), Ev::Sample);
-                }
-                Ev::Arrival(i) => {
-                    let src = self.sources[i as usize];
-                    self.inject(
-                        now,
-                        src,
-                        &mut rng,
-                        &mut obs,
-                        &mut edges,
-                        &live,
-                        &mut qtrack,
-                        &mut qnext,
-                        &mut packets,
-                        &mut free,
-                        &mut queue,
-                        routes,
-                        sat_counts,
-                        det,
-                    )?;
-                    let dt = exp_sample(&mut rng, self.source_rate(i as usize));
-                    queue.schedule(now + dt, Ev::Arrival(i));
-                }
-                Ev::Slot => {
-                    let tau = cfg.slot.unwrap();
-                    for i in 0..self.sources.len() {
-                        let mean = self.source_rate(i) * tau;
-                        let k = poisson_sample(&mut rng, mean);
-                        let src = self.sources[i];
-                        for _ in 0..k {
-                            self.inject(
-                                now,
-                                src,
-                                &mut rng,
-                                &mut obs,
-                                &mut edges,
-                                &live,
-                                &mut qtrack,
-                                &mut qnext,
-                                &mut packets,
-                                &mut free,
-                                &mut queue,
-                                routes,
-                                sat_counts,
-                                det,
-                            )?;
-                        }
-                    }
-                    queue.schedule(now + tau, Ev::Slot);
-                }
-                Ev::Departure(e) => {
-                    let ei = e as usize;
-                    if cfg.track_edge_queues {
-                        qtick(&mut qtrack[ei], edges[ei].qlen, now);
-                    }
-                    let edge = &mut edges[ei];
-                    let pid = q_pop(edge, &qnext);
-                    let duration = now - edge.service_start;
-                    obs.service_done(now, ei, duration, self.sat_edge[ei]);
-                    edge.busy = false;
-                    if edge.qlen > 0 && (live.is_empty() || live[ei]) {
-                        Self::start_service(
-                            edge,
-                            ei,
-                            now,
-                            cfg.service,
-                            self.service_rates[ei],
-                            det_of(det, ei),
-                            &mut rng,
-                            &mut queue,
-                        );
-                    }
-                    // Move the packet onward.
-                    let cur = match routes {
-                        Some(r) => r.edge_target(EdgeId(e)),
-                        None => self.topo.edge_target(EdgeId(e)),
-                    };
-                    let pk = packets[pid as usize];
-                    if cur == pk.dst {
-                        obs.packet_exits(now, pk.gen_time, true);
-                        free.push(pid);
-                    } else if fault_active {
-                        // Fault-aware forwarding: unroutable packets and
-                        // exhausted misroute budgets become accounted
-                        // drops, never run-aborting errors.
-                        let decision = if pk.ttl == 0 {
-                            Err(DropCause::TtlExceeded)
-                        } else {
-                            let view = QueueView {
-                                edges: &edges,
-                                live: &live,
-                            };
-                            match self
-                                .router
-                                .route_outcome(&self.topo, cur, pk.dst, pk.state, &view)
-                            {
-                                RouteOutcome::Forward(next) => Ok(next),
-                                RouteOutcome::DeadEnd => Err(DropCause::DeadEnd),
-                                RouteOutcome::LocalMinimum => Err(DropCause::LocalMinimum),
-                            }
-                        };
-                        match decision {
-                            Ok(next) => {
-                                packets[pid as usize].ttl -= 1;
-                                let ni = next.index();
-                                Self::enqueue(
-                                    &mut edges[ni],
-                                    ni,
-                                    pid,
-                                    now,
-                                    cfg.service,
-                                    self.service_rates[ni],
-                                    det_of(det, ni),
-                                    &mut rng,
-                                    &mut queue,
-                                    cfg.track_edge_queues.then(|| &mut qtrack[ni]),
-                                    &mut qnext,
-                                );
-                            }
-                            Err(cause) => {
-                                let remaining = self
-                                    .router
-                                    .remaining_hops(&self.topo, cur, pk.dst, pk.state);
-                                let sat = if self.track_saturated {
-                                    self.count_saturated_on_route(cur, pk.dst, pk.state)
-                                } else {
-                                    0
-                                };
-                                obs.packet_dropped(
-                                    now,
-                                    remaining as f64,
-                                    sat as f64,
-                                    pk.gen_time,
-                                    cause,
-                                );
-                                free.push(pid);
-                            }
-                        }
-                    } else {
-                        let next = match routes {
-                            Some(r) => r.next_edge(cur, pk.dst),
-                            None => {
-                                let view = QueueView {
-                                    edges: &edges,
-                                    live: &live,
-                                };
-                                match self
-                                    .router
-                                    .next_hop(&self.topo, cur, pk.dst, pk.state, &view)
-                                {
-                                    Some(e) => e,
-                                    None => return Err(stall::<R>(cur, pk.dst)),
-                                }
-                            }
-                        };
-                        let ni = next.index();
-                        Self::enqueue(
-                            &mut edges[ni],
-                            ni,
-                            pid,
-                            now,
-                            cfg.service,
-                            self.service_rates[ni],
-                            det_of(det, ni),
-                            &mut rng,
-                            &mut queue,
-                            cfg.track_edge_queues.then(|| &mut qtrack[ni]),
-                            &mut qnext,
-                        );
-                    }
-                }
-                Ev::Fault(k) => {
-                    let fe = self.fault_plan.events[k as usize];
-                    let ei = fe.edge.index();
-                    if fe.up {
-                        live[ei] = true;
-                        // Defensive: the flush below leaves at most the
-                        // in-flight head queued on a dead edge, but if a
-                        // packet is waiting, service must restart.
-                        if edges[ei].qlen > 0 && !edges[ei].busy {
-                            Self::start_service(
-                                &mut edges[ei],
-                                ei,
-                                now,
-                                cfg.service,
-                                self.service_rates[ei],
-                                det_of(det, ei),
-                                &mut rng,
-                                &mut queue,
-                            );
-                        }
-                    } else {
-                        live[ei] = false;
-                        if cfg.track_edge_queues {
-                            qtick(&mut qtrack[ei], edges[ei].qlen, now);
-                        }
-                        // The in-flight transmission (if any) finishes;
-                        // everything waiting behind it drops on the spot.
-                        let edge = &mut edges[ei];
-                        let mut pid = if edge.busy {
-                            let waiting = qnext[edge.head as usize];
-                            qnext[edge.head as usize] = NIL;
-                            edge.tail = edge.head;
-                            edge.qlen = 1;
-                            waiting
-                        } else {
-                            let waiting = edge.head;
-                            edge.head = NIL;
-                            edge.tail = NIL;
-                            edge.qlen = 0;
-                            waiting
-                        };
-                        let at = self.topo.edge_source(fe.edge);
-                        while pid != NIL {
-                            let next_waiting = qnext[pid as usize];
-                            let pk = packets[pid as usize];
-                            let remaining =
-                                self.router.remaining_hops(&self.topo, at, pk.dst, pk.state);
-                            let sat = if self.track_saturated {
-                                self.count_saturated_on_route(at, pk.dst, pk.state)
-                            } else {
-                                0
-                            };
-                            obs.packet_dropped(
-                                now,
-                                remaining as f64,
-                                sat as f64,
-                                pk.gen_time,
-                                DropCause::LinkDown,
-                            );
-                            free.push(pid);
-                            pid = next_waiting;
-                        }
-                    }
-                }
-                Ev::Probe => {
-                    let rec = recorder.as_mut().expect("probe event without recorder");
-                    let spec = *rec.spec();
-                    let mut sample = ProbeSample {
-                        nsys: obs.n_sys.value(),
-                        drops: obs.dropped.total() as f64,
-                        delivered: obs.completed as f64,
-                        // Engine events excluding probe ticks: this event
-                        // is already counted and `rec.ticks()` holds the
-                        // prior ones, so the series matches what a
-                        // probes-off run would have counted at `now`.
-                        events: (events_processed - rec.ticks() - 1) as f64,
-                        ..ProbeSample::default()
-                    };
-                    if spec.maxq || spec.shards {
-                        let mut maxq = 0u32;
-                        let mut qmass = 0u64;
-                        for e in &edges {
-                            maxq = maxq.max(e.qlen);
-                            qmass += u64::from(e.qlen);
-                        }
-                        sample.maxq = f64::from(maxq);
-                        sample.qmass = qmass as f64;
-                    }
-                    rec.record(now, &sample);
-                    crate::telemetry::emit_progress(now, cfg.horizon, sample.events as u64);
-                    queue.schedule(now + rec.interval(), Ev::Probe);
-                }
-            }
-        }
-
-        // Close the integrals at the horizon. Probe ticks ride the event
-        // list but are not engine work: subtracting them keeps
-        // `events_processed` bit-identical to a probes-off run.
-        if let Some(rec) = &recorder {
-            events_processed -= rec.ticks();
-        }
-        let measure_time = (cfg.horizon - cfg.warmup).max(f64::MIN_POSITIVE);
-        let time_avg_n = obs.n_sys.integral(cfg.horizon) / measure_time;
-        let time_avg_r = obs.r_total.integral(cfg.horizon) / measure_time;
-        let time_avg_rs = obs.rs_total.integral(cfg.horizon) / measure_time;
-        let max_util = obs.edge_busy.iter().cloned().fold(0.0f64, f64::max) / measure_time;
-        Ok(SimResult {
-            avg_delay: obs.delay.mean(),
-            delay_std_err: obs.delay.standard_error(),
-            generated: obs.generated,
-            completed: obs.completed,
-            dropped: obs.dropped,
-            delivered_fraction: if obs.generated > 0 {
-                obs.completed as f64 / obs.generated as f64
-            } else {
-                0.0
-            },
-            time_avg_n,
-            time_avg_r,
-            time_avg_rs,
-            r_ratio: if time_avg_n > 0.0 {
-                time_avg_r / time_avg_n
-            } else {
-                0.0
-            },
-            rs_ratio: if time_avg_n > 0.0 {
-                time_avg_rs / time_avg_n
-            } else {
-                0.0
-            },
-            little_delay: little_delay(time_avg_n, obs.generated, measure_time),
-            max_edge_utilization: max_util,
-            edge_throughput: if obs.edge_services.len() <= STREAMING_STATS_MAX_EDGES {
-                obs.edge_services
-                    .iter()
-                    .map(|&c| c as f64 / measure_time)
-                    .collect()
-            } else {
-                Vec::new()
-            },
-            edge_throughput_stats: {
-                let mut w = meshbound_stats::Welford::new();
-                for &c in &obs.edge_services {
-                    w.push(c as f64 / measure_time);
-                }
-                EdgeThroughputStats {
-                    edges: obs.edge_services.len(),
-                    mean: w.mean(),
-                    max: w.max(),
-                    std_dev: w.sample_variance().sqrt(),
-                }
-            },
-            final_n: obs.n_sys.value(),
-            peak_n: obs.n_sys.peak(),
-            measure_time,
-            events_processed,
-            events_per_sec: events_processed as f64 / wall.elapsed().as_secs_f64().max(1e-9),
-            delay_p50: obs.delay_sample.as_ref().and_then(|r| r.quantile(0.5)),
-            delay_p95: obs.delay_sample.as_ref().and_then(|r| r.quantile(0.95)),
-            delay_p99: obs.delay_sample.as_ref().and_then(|r| r.quantile(0.99)),
-            edge_mean_queue: cfg.track_edge_queues.then(|| {
-                edges
-                    .iter()
-                    .zip(qtrack.iter_mut())
-                    .map(|(e, t)| {
-                        qtick(t, e.qlen, cfg.horizon);
-                        t.integral / measure_time
-                    })
-                    .collect()
-            }),
-            n_samples: obs.n_samples.into_samples(),
-            telemetry: recorder.map(Recorder::into_report),
-        })
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn inject<Q: EventQueue<Ev>>(
-        &self,
-        now: f64,
-        src: NodeId,
-        rng: &mut SmallRng,
-        obs: &mut Observer,
-        edges: &mut [EdgeState],
-        live: &[bool],
-        qtrack: &mut [QTrack],
-        qnext: &mut Vec<u32>,
-        packets: &mut Vec<Packet<R::State>>,
-        free: &mut Vec<u32>,
-        queue: &mut Q,
-        routes: Option<&RouteTable>,
-        sat_counts: Option<&[u32]>,
-        det: Option<&[f64]>,
-    ) -> Result<(), SimError> {
-        let dst = self.dest.sample(&self.topo, src, rng);
-        if src == dst {
-            if self.cfg.include_self_packets {
-                obs.zero_distance_packet(now);
-            }
-            return Ok(());
-        }
-        obs.packet_generated(now);
-        // Deterministic routers draw nothing here (the
-        // `is_route_deterministic` contract), so the RNG stream is the
-        // same with and without tables.
-        let state = self.router.init_state(&self.topo, src, dst, rng);
-        let (first, hops, sat) = match routes {
-            Some(r) => {
-                let (first, hops) = r.next_and_dist(src, dst);
-                let sat = sat_counts.map_or(0, |sc| {
-                    sc[src.index() * r.num_nodes() + dst.index()] as usize
-                });
-                (Some(first), hops, sat)
-            }
-            None => (
-                None,
-                self.router.route_len(&self.topo, src, dst, state),
-                if self.track_saturated {
-                    self.count_saturated_on_route(src, dst, state)
-                } else {
-                    0
-                },
-            ),
-        };
-        obs.packet_enters(now, hops, sat);
-        let ttl = ttl_budget(hops);
-        let pid = match free.pop() {
-            Some(id) => {
-                packets[id as usize] = Packet {
-                    dst,
-                    state,
-                    gen_time: now,
-                    ttl,
-                };
-                id
-            }
-            None => {
-                packets.push(Packet {
-                    dst,
-                    state,
-                    gen_time: now,
-                    ttl,
-                });
-                (packets.len() - 1) as u32
-            }
-        };
-        let first = match first {
-            Some(e) => e,
-            None if live.is_empty() => {
-                let view = QueueView {
-                    edges: &*edges,
-                    live,
-                };
-                match self.router.next_hop(&self.topo, src, dst, state, &view) {
-                    Some(e) => e,
-                    None => return Err(stall::<R>(src, dst)),
-                }
-            }
-            None => {
-                // Fault-aware first hop: a source walled in by dead links
-                // drops its fresh packet instead of aborting the run.
-                let view = QueueView {
-                    edges: &*edges,
-                    live,
-                };
-                match self
-                    .router
-                    .route_outcome(&self.topo, src, dst, state, &view)
-                {
-                    RouteOutcome::Forward(e) => {
-                        packets[pid as usize].ttl -= 1;
-                        e
-                    }
-                    outcome => {
-                        let cause = if outcome == RouteOutcome::DeadEnd {
-                            DropCause::DeadEnd
-                        } else {
-                            DropCause::LocalMinimum
-                        };
-                        obs.packet_dropped(now, hops as f64, sat as f64, now, cause);
-                        free.push(pid);
-                        return Ok(());
-                    }
-                }
-            }
-        };
-        let fi = first.index();
-        Self::enqueue(
-            &mut edges[fi],
-            fi,
-            pid,
-            now,
-            self.cfg.service,
-            self.service_rates[fi],
-            det_of(det, fi),
-            rng,
-            queue,
-            self.cfg.track_edge_queues.then(|| &mut qtrack[fi]),
-            qnext,
-        );
-        Ok(())
     }
 
     /// Saturated hops along the *canonical* (empty-network) route — the
@@ -1234,52 +454,6 @@ where
             cur = self.topo.edge_target(e);
         }
         count
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    #[inline]
-    fn enqueue<Q: EventQueue<Ev>>(
-        edge: &mut EdgeState,
-        edge_idx: usize,
-        pid: u32,
-        now: f64,
-        service: ServiceKind,
-        rate: f64,
-        det: Option<f64>,
-        rng: &mut SmallRng,
-        queue: &mut Q,
-        qt: Option<&mut QTrack>,
-        qnext: &mut Vec<u32>,
-    ) {
-        if let Some(t) = qt {
-            qtick(t, edge.qlen, now);
-        }
-        q_push(edge, qnext, pid);
-        if !edge.busy {
-            Self::start_service(edge, edge_idx, now, service, rate, det, rng, queue);
-        }
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    #[inline]
-    fn start_service<Q: EventQueue<Ev>>(
-        edge: &mut EdgeState,
-        edge_idx: usize,
-        now: f64,
-        service: ServiceKind,
-        rate: f64,
-        det: Option<f64>,
-        rng: &mut SmallRng,
-        queue: &mut Q,
-    ) {
-        debug_assert!(!edge.busy && edge.qlen > 0);
-        edge.busy = true;
-        edge.service_start = now;
-        let dur = match det {
-            Some(d) => d,
-            None => service.sample(rate, rng),
-        };
-        queue.schedule_lane(now + dur, Ev::Departure(edge_idx as u32));
     }
 }
 
@@ -1550,6 +724,7 @@ mod tests {
     #[test]
     fn router_stall_reports_the_stuck_triple() {
         use meshbound_topology::{EdgeId, NodeId};
+        use rand::rngs::SmallRng;
 
         /// A router that always stalls.
         struct Stuck;
@@ -1596,7 +771,7 @@ mod tests {
 
     /// A fault plan turns unroutable packets into accounted drops — the
     /// run completes, attributes every loss to a cause, and stays
-    /// bit-identical across the single-core engines.
+    /// bit-identical across the one-shard engines.
     #[test]
     fn fault_plan_drops_packets_instead_of_stalling() {
         use crate::fault::{FaultPlan, FaultSpec};

@@ -444,6 +444,15 @@ fn torus_uniform_unit_rates(n: usize) -> Vec<f64> {
         .collect()
 }
 
+/// The most times one periodic event — an `N(t)` sample (`sample=`), a
+/// slot boundary (`slot=`) or a telemetry probe (`probes=…@<dt>`) — may
+/// fire over a run, i.e. the largest accepted `horizon / interval`
+/// ([`Scenario::validate`]). Every tick is an event, so far past this cap
+/// a run cannot finish: the probe stride overflows, and once the interval
+/// drops below the clock's resolution near the horizon (`now + dt ==
+/// now`) a tick stops advancing time at all.
+pub const MAX_TICKS: f64 = 1e9;
+
 /// Why a scenario specification was rejected.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ScenarioError {
@@ -462,6 +471,17 @@ pub enum ScenarioError {
     /// [`SimError`] (surfaced by [`Scenario::try_run`]; the panicking
     /// [`Scenario::run`] aborts instead).
     Sim(SimError),
+    /// A periodic interval would fire more than [`MAX_TICKS`] times over
+    /// the horizon, so the run could not finish.
+    TooManyTicks {
+        /// The spec key that set the interval: `sample`, `slot` or
+        /// `probes` (its `@<dt>`).
+        key: &'static str,
+        /// The interval.
+        interval: f64,
+        /// The run's horizon.
+        horizon: f64,
+    },
 }
 
 impl ScenarioError {
@@ -481,6 +501,16 @@ impl std::fmt::Display for ScenarioError {
             ScenarioError::Unsupported(m) => write!(f, "unsupported scenario: {m}"),
             ScenarioError::Convergence(e) => write!(f, "scenario rate solver: {e}"),
             ScenarioError::Sim(e) => write!(f, "simulation failed: {e}"),
+            ScenarioError::TooManyTicks {
+                key,
+                interval,
+                horizon,
+            } => write!(
+                f,
+                "{key} interval {interval:e} fires {:.3e} times over horizon {horizon}, \
+                 above the cap of {MAX_TICKS:.0e} ticks per run",
+                horizon / interval
+            ),
         }
     }
 }
@@ -1327,7 +1357,8 @@ impl Scenario {
     /// # Errors
     ///
     /// Returns a [`ScenarioError::Unsupported`] describing the first
-    /// offending setting.
+    /// offending setting, or [`ScenarioError::TooManyTicks`] for a
+    /// periodic interval above the [`MAX_TICKS`] cap.
     pub fn validate(&self) -> Result<(), ScenarioError> {
         let bad = |msg: String| Err(ScenarioError::unsupported(msg));
         self.topology.validate()?;
@@ -1470,6 +1501,22 @@ impl Scenario {
         if let Some(probes) = &self.probes {
             if let Err(e) = probes.check() {
                 return bad(e);
+            }
+        }
+        let intervals = [
+            ("sample", self.sample_every),
+            ("slot", self.slot),
+            ("probes", self.probes.as_ref().and_then(|p| p.every)),
+        ];
+        for (key, dt) in intervals {
+            if let Some(interval) = dt {
+                if self.horizon / interval > MAX_TICKS {
+                    return Err(ScenarioError::TooManyTicks {
+                        key,
+                        interval,
+                        horizon: self.horizon,
+                    });
+                }
             }
         }
         if let Some(rates) = &self.service_rates {
@@ -2226,6 +2273,28 @@ mod tests {
             .validate()
             .is_err());
         assert!(Scenario::mesh(4).validate().is_ok());
+    }
+
+    #[test]
+    fn validate_caps_the_ticks_of_every_periodic_interval() {
+        let sc = Scenario::mesh(3).horizon(1_000.0);
+        // Exactly at the cap is accepted; just past it is not.
+        let at_cap = 1_000.0 / MAX_TICKS;
+        assert!(sc.clone().sample_every(at_cap).validate().is_ok());
+        for (key, sc) in [
+            ("sample", sc.clone().sample_every(at_cap / 2.0)),
+            ("slot", sc.clone().slot(1e-13)),
+            (
+                "probes",
+                sc.clone()
+                    .probes(ProbeSpec::parse_token("nsys@1e-20").unwrap().unwrap()),
+            ),
+        ] {
+            match sc.validate() {
+                Err(ScenarioError::TooManyTicks { key: got, .. }) => assert_eq!(got, key),
+                other => panic!("{key}: expected TooManyTicks, got {other:?}"),
+            }
+        }
     }
 
     #[test]

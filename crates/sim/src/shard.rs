@@ -1,22 +1,20 @@
-//! Conservative parallel discrete-event engine: one scenario sharded
-//! across threads ([`EngineSpec::Sharded`](crate::EngineSpec::Sharded)).
+//! The simulator's event loop, shared by every engine.
+//!
+//! [`NetworkSim::try_run`] picks a shard count, an event list ([`HeapQueue`],
+//! [`CalendarQueue`] or [`LaneQueue`] — all pop in the same `(time, seq)`
+//! order) and whether route tables are used; this module runs the loop.
+//! One shard runs on the calling thread, `N` shards on `N` threads (see
+//! [`EngineSpec`]).
 //!
 //! # Protocol
 //!
 //! The topology is partitioned into contiguous node blocks
 //! ([`Partition::contiguous`]); each directed edge belongs to the shard of
 //! its **source** node, so every enqueue a shard performs is on an edge it
-//! owns. Each shard runs the same hot loop as the single-core engines on
-//! its own event list, its own RNG stream (`derive_rng(seed, shard)`)
-//! and its own [`Observer`], so threads share nothing mutable.
-//!
-//! The event list is a [`LaneQueue`] when every edge has the same
-//! deterministic service time (the paper's unit-time model): departures,
-//! all scheduled a fixed delay after their service start, ride its FIFO
-//! lane, while arrivals, handoffs, ticks and the epoch cut-off push-back
-//! stay on its calendar. Otherwise (exponential service, or per-edge
-//! rates that differ) it is a plain [`CalendarQueue`]. Both pop in the
-//! same `(time, seq)` order, so the choice never changes a result.
+//! owns. Each shard runs the loop on its own event list, its own RNG
+//! stream (`derive_rng(seed, shard)`) and its own [`Observer`], so threads
+//! share nothing mutable. They share, read-only, the run's [`RouteTable`]
+//! (keyed by global node id) and per-edge deterministic service times.
 //!
 //! Time is divided into epochs of length Δ, the **conservative lookahead**:
 //! the minimum service time over cut edges (edges whose source and target
@@ -25,7 +23,8 @@
 //! epoch `j` can only affect other shards at times `≥ (j+1)·Δ` — each shard
 //! may therefore run epoch `j` to completion without hearing from its
 //! peers. Because the lookahead must be known in advance, shards > 1
-//! requires [`ServiceKind::Deterministic`] service times.
+//! requires [`ServiceKind::Deterministic`] service times. One shard has no
+//! cut edges and runs a single unbounded epoch.
 //!
 //! Cross-shard transfers are *sent at service start*: when a cut edge
 //! begins serving a packet at `t`, its completion time `t + 1/rate` is
@@ -43,11 +42,10 @@
 //! For a fixed `(seed, shard_count)` the result is **bit-identical across
 //! reruns and thread schedules**: all cross-thread data flows through the
 //! barrier exchange, whose merge order is deterministic, and everything
-//! else is shard-local. With `shards = 1` there are no cut edges and the
-//! single shard runs the single-core hot loop verbatim, reproducing
-//! [`EngineSpec::Calendar`](crate::EngineSpec::Calendar) bit for bit
-//! (pinned in `tests/engine_equivalence.rs`). With `shards > 1` the RNG
-//! streams decompose differently, so the single-core engines act as the
+//! else is shard-local. The one-shard engines agree with each other bit
+//! for bit whatever their event list or routing path (pinned in
+//! `tests/engine_equivalence.rs`). With `shards > 1` the RNG streams
+//! decompose differently, so the one-shard engines act as the
 //! *statistical* oracle instead: delay, throughput and the conservation
 //! ratios agree within replication noise.
 //!
@@ -64,26 +62,23 @@
 //! reservoir samples through a fresh reservoir, which is a uniform
 //! subsample of a uniform subsample rather than of the raw stream.
 
-use crate::engine::STREAMING_STATS_MAX_EDGES;
-use crate::events::{CalendarQueue, EventQueue, LaneQueue};
+use crate::engine::{EngineSpec, ROUTE_TABLE_MAX_NODES, STREAMING_STATS_MAX_EDGES};
+use crate::events::{CalendarQueue, EventQueue, HeapQueue, LaneQueue};
 use crate::fault::{ttl_budget, DropCause, DropCounts, FaultPlan};
-use crate::network::{
-    little_delay, q_pop, q_push, qtick, stall, EdgeState, EdgeThroughputStats, NetworkSim, Packet,
-    QTrack, SimError, SimResult, NIL,
-};
+use crate::network::{EdgeThroughputStats, NetworkSim, SimError, SimResult};
 use crate::observer::Observer;
 use crate::rng::{derive_rng, exp_sample, poisson_sample};
 use crate::service::ServiceKind;
 use crate::telemetry::{ProbeSample, Recorder};
 use meshbound_routing::dest::DestSampler;
-use meshbound_routing::{LocalView, RouteOutcome, Router};
+use meshbound_routing::{LocalView, RouteOutcome, RouteTable, Router};
 use meshbound_stats::{Reservoir, Welford};
 use meshbound_topology::{EdgeId, NodeId, Partition, Topology};
 use rand::rngs::SmallRng;
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::time::Instant;
 
-/// Size of the delay-quantile reservoir (matches the single-core engines).
+/// Size of the delay-quantile reservoir.
 const RESERVOIR_CAPACITY: usize = 1 << 16;
 
 /// Per-peer channel depth. One in-flight batch plus one being composed is
@@ -91,6 +86,151 @@ const RESERVOIR_CAPACITY: usize = 1 << 16;
 /// peer, then receives from every peer, in fixed order each epoch), so no
 /// sender can ever run more than one epoch ahead of a receiver.
 const CHANNEL_DEPTH: usize = 2;
+
+/// The future-event list a run uses (chosen by [`NetworkSim::try_run`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum EventList {
+    /// [`HeapQueue`]: the reference binary heap.
+    Heap,
+    /// [`CalendarQueue`]: the O(1)-amortized calendar queue.
+    Calendar,
+    /// [`LaneQueue`]: a calendar plus a FIFO departure lane. Valid only
+    /// when every service takes the same fixed time.
+    Lane,
+}
+
+/// The one [`SimError::RouterStalled`] construction site: a packet stuck at
+/// `node` heading for `dst` under router `R` (named by the last path
+/// segment of its type).
+fn stall<R: ?Sized>(node: NodeId, dst: NodeId) -> SimError {
+    let full = std::any::type_name::<R>();
+    SimError::RouterStalled {
+        node,
+        dst,
+        router: full.rsplit("::").next().unwrap_or(full),
+    }
+}
+
+/// A packet record in a shard's slab.
+#[derive(Debug, Clone, Copy)]
+struct Packet<S> {
+    dst: NodeId,
+    state: S,
+    gen_time: f64,
+    /// Remaining misroute budget ([`ttl_budget`] of the route length),
+    /// decremented per hop; consulted only when a fault plan is active.
+    ttl: u32,
+}
+
+/// Sentinel for "no packet" in the intrusive edge-queue lists.
+const NIL: u32 = u32::MAX;
+
+/// One directed edge's server state — the hot 24 bytes touched on every
+/// enqueue/departure. The FIFO queue is an intrusive linked list threaded
+/// through the shared `qnext` slab (indexed by packet id), so an edge owns
+/// no heap allocation — just head/tail cursors. The optional
+/// queue-length-integral tracking lives in a separate cold array
+/// ([`QTrack`]) so the default configuration keeps the edge array compact.
+#[derive(Debug)]
+struct EdgeState {
+    /// Packet in service (when busy) and head of the waiting line.
+    head: u32,
+    /// Last packet in the line (`NIL` when empty).
+    tail: u32,
+    /// Queue length including the packet in service.
+    qlen: u32,
+    busy: bool,
+    service_start: f64,
+}
+
+impl Default for EdgeState {
+    fn default() -> Self {
+        Self {
+            head: NIL,
+            tail: NIL,
+            qlen: 0,
+            busy: false,
+            service_start: 0.0,
+        }
+    }
+}
+
+/// Cold per-edge tracking state: time-weighted queue-length integral and
+/// its last update time (allocated only under `track_edge_queues`).
+#[derive(Debug, Clone, Copy, Default)]
+struct QTrack {
+    integral: f64,
+    last: f64,
+}
+
+/// Accumulates an edge's queue-length integral up to `now` (post-warmup
+/// clipping happens at extraction time via the warmup reset).
+#[inline]
+fn qtick(t: &mut QTrack, qlen: u32, now: f64) {
+    t.integral += f64::from(qlen) * (now - t.last);
+    t.last = now;
+}
+
+/// Appends `pid` to an edge's intrusive FIFO (`qnext` is the shared slab).
+#[inline]
+fn q_push(edge: &mut EdgeState, qnext: &mut Vec<u32>, pid: u32) {
+    let i = pid as usize;
+    if qnext.len() <= i {
+        qnext.resize(i + 1, NIL);
+    }
+    qnext[i] = NIL;
+    if edge.tail == NIL {
+        edge.head = pid;
+    } else {
+        qnext[edge.tail as usize] = pid;
+    }
+    edge.tail = pid;
+    edge.qlen += 1;
+}
+
+/// Removes and returns the head-of-line packet of an edge's FIFO.
+#[inline]
+fn q_pop(edge: &mut EdgeState, qnext: &[u32]) -> u32 {
+    debug_assert!(edge.head != NIL, "departure from empty edge");
+    let pid = edge.head;
+    edge.head = qnext[pid as usize];
+    if edge.head == NIL {
+        edge.tail = NIL;
+    }
+    edge.qlen -= 1;
+    pid
+}
+
+/// Detaches everything waiting behind the packet in service (the whole
+/// line when the edge is idle) from an edge's FIFO and returns the first
+/// detached packet (`NIL` if none); the rest stay chained through `qnext`.
+fn q_detach_waiting(edge: &mut EdgeState, qnext: &mut [u32]) -> u32 {
+    let first = if edge.busy {
+        std::mem::replace(&mut qnext[edge.head as usize], NIL)
+    } else {
+        std::mem::replace(&mut edge.head, NIL)
+    };
+    edge.tail = edge.head;
+    edge.qlen = u32::from(edge.busy);
+    first
+}
+
+/// Little's-law delay `T = E[N] / λ` of a measurement window of length
+/// `measure_time`, with `λ = generated / measure_time` the rate at which
+/// packets entered the system after warmup.
+///
+/// The rate must count arrivals, not deliveries: `completed` misses the
+/// packets still in flight at the horizon (about `λ·T` of them), so
+/// dividing by the delivery rate overstates `T` by about `T / measure_time`
+/// — over 10% on short runs. Zero when nothing was generated.
+fn little_delay(time_avg_n: f64, generated: u64, measure_time: f64) -> f64 {
+    let arrival_rate = generated as f64 / measure_time;
+    if arrival_rate > 0.0 {
+        time_avg_n / arrival_rate
+    } else {
+        0.0
+    }
+}
 
 /// A packet in flight between shards: everything the receiving shard needs
 /// to resume it at the cut edge's target node.
@@ -100,11 +240,8 @@ struct Msg<S> {
     time: f64,
     /// The cut edge's target node (where routing resumes).
     node: NodeId,
-    dst: NodeId,
-    gen_time: f64,
-    state: S,
-    /// Remaining misroute budget, carried across the shard boundary.
-    ttl: u32,
+    /// The packet record, misroute budget included.
+    pk: Packet<S>,
 }
 
 type Batch<S> = Vec<Msg<S>>;
@@ -117,13 +254,12 @@ type TxRow<S> = Vec<Option<SyncSender<Batch<S>>>>;
 /// (`None` on the diagonal).
 type RxRow<S> = Vec<Option<Receiver<Batch<S>>>>;
 
-/// Shard-local event kinds. The single-core `Ev` plus `Handoff` for
-/// packets arriving from other shards. `Departure` carries the **global**
-/// edge id (service rates and the saturated-edge set are indexed
-/// globally); `Arrival` indexes the shard's own source list.
+/// Event kinds. `Departure` carries the **global** edge id (service rates
+/// and the saturated-edge set are indexed globally); `Arrival` carries the
+/// global source index (so per-source rates stay positional).
 #[derive(Debug, Clone, Copy, PartialEq)]
-enum SEv {
-    /// Next external arrival at the shard-local source `idx`.
+enum Ev {
+    /// Next external arrival at source `idx` of the simulator's list.
     Arrival(u32),
     /// Service completion at a (globally indexed) owned edge.
     Departure(u32),
@@ -135,19 +271,50 @@ enum SEv {
     Warmup,
     /// `N(t)` sampling tick.
     Sample,
-    /// Liveness transition `k` of the run's fault plan. Every shard
-    /// replays the full (global) timeline so the shared liveness mask
-    /// agrees everywhere; only the owning shard flushes an edge's queue.
+    /// Liveness transition `k` of the run's fault plan. Scheduled only
+    /// when a plan is installed. Every shard replays the full (global)
+    /// timeline so the shared liveness mask agrees everywhere; only the
+    /// owning shard flushes an edge's queue.
     Fault(u32),
-    /// Telemetry probe tick. Every shard runs the identical tick
-    /// schedule (same base interval, same decimation — decimation is a
-    /// pure function of tick count), so per-shard recorders merge
-    /// sample-by-sample after the join. Scheduled only when probes are
-    /// configured; the handler reads shard state and mutates nothing.
+    /// Telemetry probe tick. Scheduled only when probes are configured.
+    /// Every shard runs the identical tick schedule (same base interval,
+    /// same decimation — decimation is a pure function of tick count), so
+    /// per-shard recorders merge sample-by-sample after the join. The
+    /// handler reads shard state, draws no randomness and mutates
+    /// nothing, and its event count is subtracted at the end, so probed
+    /// runs stay bit-identical to unprobed ones.
     Probe,
 }
 
-/// What one shard thread returns: its observer, its event count, and its
+/// What every shard of a run borrows read-only: the simulator, the
+/// partition and epoch schedule, and the precomputed fast-path data.
+struct Shared<T, R, D>
+where
+    T: Topology,
+    R: Router<T>,
+    D: DestSampler<T>,
+{
+    sim: NetworkSim<T, R, D>,
+    part: Partition,
+    /// Epoch cutoffs ([`window_ends`]); a single `∞` without cut edges.
+    windows: Vec<f64>,
+    /// Each shard's sources as `(global source index, node)`, in the
+    /// simulator's order (so one shard primes exactly as listed).
+    sources: Vec<Vec<(u32, NodeId)>>,
+    /// The event list every shard runs on.
+    list: EventList,
+    /// Next hop, distance and edge target per `(node, destination)`,
+    /// keyed by global node id, when the run qualifies.
+    routes: Option<RouteTable>,
+    /// Saturated hops per `(src, dst)` pair, when `R_s` is tracked and a
+    /// route table exists.
+    sat_counts: Option<Vec<u32>>,
+    /// Per-edge service time `1/rate` under deterministic service (saves
+    /// a division per service start).
+    service_time: Option<Vec<f64>>,
+}
+
+/// What one shard returns: its observer, its event count, and its
 /// queue-length integrals (closed at the horizon) when tracked.
 struct ShardOut {
     obs: Observer,
@@ -165,16 +332,21 @@ struct Local<S, Q> {
     /// Owned edges, indexed by the shard-local dense edge index.
     edges: Vec<EdgeState>,
     qtrack: Vec<QTrack>,
+    /// Packet records in a free-list slab.
     packets: Vec<Packet<S>>,
-    /// Resume node for packets delivered by `SEv::Handoff`, parallel to
+    /// Resume node for packets delivered by `Ev::Handoff`, parallel to
     /// `packets`.
     hand_node: Vec<NodeId>,
+    /// The edge FIFOs: intrusive linked lists threaded through this one
+    /// slab (indexed by packet id), so an edge owns no allocation.
     qnext: Vec<u32>,
     free: Vec<u32>,
     queue: Q,
     /// Per-peer outgoing packets, flushed at each epoch boundary.
     outboxes: Vec<Batch<S>>,
-    /// Whether each owned (local-indexed) edge crosses into another shard.
+    /// Whether each owned (local-indexed) edge crosses into another shard;
+    /// empty when none does (always for a single shard), so the hot loop
+    /// skips the lookup.
     is_cut: Vec<bool>,
     /// For cut edges: the target node and the shard that owns it.
     cut_to: Vec<(NodeId, u32)>,
@@ -184,10 +356,12 @@ struct Local<S, Q> {
     live: Vec<bool>,
 }
 
-/// [`LocalView`] over one shard's owned edges. Out-edges belong to their
-/// source's shard, so every edge an adaptive router inspects at a node this
-/// shard owns is in the shard's dense `edges` slab — `edge_local` maps the
-/// global id down to it.
+/// The [`LocalView`] handed to [`Router::next_hop`] at every dequeue:
+/// per-output-port queue occupancy read straight off one shard's owned
+/// edges, so adaptive policies see the congestion of the instant they
+/// decide in. Out-edges belong to their source's shard, so every edge an
+/// adaptive router inspects at a node this shard owns is in the shard's
+/// dense `edges` slab — `edge_local` maps the global id down to it.
 struct ShardView<'a> {
     edges: &'a [EdgeState],
     part: &'a Partition,
@@ -207,9 +381,14 @@ impl LocalView for ShardView<'_> {
     }
 }
 
-impl<S: Copy, Q: EventQueue<SEv>> Local<S, Q> {
-    /// Allocates a packet slot from the free list (or grows the slab),
-    /// mirroring the single-core allocator; `hand_node` grows in lockstep.
+// The per-event helpers are forced inline: a call that takes `&mut Local`
+// keeps the whole shard state in memory, and the loop then reloads every
+// slab's pointer and length after each store (about 10% on the Table-I
+// mesh).
+impl<S: Copy, Q: EventQueue<Ev>> Local<S, Q> {
+    /// Allocates a packet slot from the free list (or grows the slab);
+    /// `hand_node` grows in lockstep.
+    #[inline]
     fn alloc(&mut self, pk: Packet<S>) -> u32 {
         match self.free.pop() {
             Some(id) => {
@@ -228,75 +407,75 @@ impl<S: Copy, Q: EventQueue<SEv>> Local<S, Q> {
     /// a cut edge, the packet's handoff is emitted to the target shard's
     /// outbox *now* — its completion time is already determined, and it
     /// is `≥` the next epoch boundary by the lookahead invariant.
-    fn start_service<T, R, D>(&mut self, sim: &NetworkSim<T, R, D>, le: usize, ge: u32, now: f64)
+    #[inline(always)]
+    fn start_service<T, R, D>(&mut self, run: &Shared<T, R, D>, le: usize, ge: u32, now: f64)
     where
-        T: Topology + Sync,
-        R: Router<T, State = S> + Sync,
-        D: DestSampler<T> + Sync,
+        T: Topology,
+        R: Router<T, State = S>,
+        D: DestSampler<T>,
     {
         let edge = &mut self.edges[le];
         debug_assert!(!edge.busy && edge.qlen > 0);
         edge.busy = true;
         edge.service_start = now;
-        let dur = sim
-            .cfg
-            .service
-            .sample(sim.service_rates[ge as usize], &mut self.rng);
+        let ei = ge as usize;
+        let dur = match &run.service_time {
+            Some(d) => d[ei],
+            None => run
+                .sim
+                .cfg
+                .service
+                .sample(run.sim.service_rates[ei], &mut self.rng),
+        };
         let done = now + dur;
-        self.queue.schedule_lane(done, SEv::Departure(ge));
-        if self.is_cut[le] {
-            let pid = self.edges[le].head;
-            let pk = self.packets[pid as usize];
+        self.queue.schedule_lane(done, Ev::Departure(ge));
+        if !self.is_cut.is_empty() && self.is_cut[le] {
+            let pk = self.packets[self.edges[le].head as usize];
             let (node, to) = self.cut_to[le];
             self.outboxes[to as usize].push(Msg {
                 time: done,
                 node,
-                dst: pk.dst,
-                gen_time: pk.gen_time,
-                state: pk.state,
-                ttl: pk.ttl,
+                pk,
             });
         }
     }
 
-    /// Appends `pid` to owned edge `le`'s FIFO and starts service if idle
-    /// (the single-core `enqueue`, with local edge indexing).
-    fn enqueue<T, R, D>(
-        &mut self,
-        sim: &NetworkSim<T, R, D>,
-        le: usize,
-        ge: u32,
-        pid: u32,
-        now: f64,
-    ) where
-        T: Topology + Sync,
-        R: Router<T, State = S> + Sync,
-        D: DestSampler<T> + Sync,
+    /// Appends `pid` to edge `e`'s FIFO and starts service if the edge is
+    /// idle. `e` is always owned by this shard.
+    #[inline(always)]
+    fn enqueue<T, R, D>(&mut self, run: &Shared<T, R, D>, e: EdgeId, pid: u32, now: f64)
+    where
+        T: Topology,
+        R: Router<T, State = S>,
+        D: DestSampler<T>,
     {
-        if sim.cfg.track_edge_queues {
+        let le = run.part.edge_local(e);
+        if run.sim.cfg.track_edge_queues {
             qtick(&mut self.qtrack[le], self.edges[le].qlen, now);
         }
         q_push(&mut self.edges[le], &mut self.qnext, pid);
         if !self.edges[le].busy {
-            self.start_service(sim, le, ge, now);
+            self.start_service(run, le, e.0, now);
         }
     }
 
-    /// Drops the packet in slot `pid` at node `at` (the single-core drop
-    /// accounting: unwind the integrals by the remaining work, tally the
-    /// cause, recycle the slot).
+    /// Drops the packet in slot `pid` at node `at`: unwind the integrals
+    /// by the remaining work, tally the cause, recycle the slot.
+    #[cold]
+    #[inline(never)]
     fn drop_packet<T, R, D>(
         &mut self,
-        sim: &NetworkSim<T, R, D>,
+        run: &Shared<T, R, D>,
         now: f64,
         at: NodeId,
         pid: u32,
         cause: DropCause,
     ) where
-        T: Topology + Sync,
-        R: Router<T, State = S> + Sync,
-        D: DestSampler<T> + Sync,
+        T: Topology,
+        R: Router<T, State = S>,
+        D: DestSampler<T>,
     {
+        let sim = &run.sim;
         let pk = self.packets[pid as usize];
         let remaining = sim.router.remaining_hops(&sim.topo, at, pk.dst, pk.state);
         let sat = if sim.track_saturated {
@@ -309,21 +488,20 @@ impl<S: Copy, Q: EventQueue<SEv>> Local<S, Q> {
         self.free.push(pid);
     }
 
-    /// Generates one packet at `src` (the single-core `inject`, with the
-    /// on-the-fly routing path — the sharded engine never uses route
-    /// tables, so the RNG draw order matches the table-free engines).
+    /// Generates one packet at `src` and sends it towards its first hop.
+    #[inline(always)]
     fn inject<T, R, D>(
         &mut self,
-        sim: &NetworkSim<T, R, D>,
-        part: &Partition,
+        run: &Shared<T, R, D>,
         now: f64,
         src: NodeId,
     ) -> Result<(), SimError>
     where
-        T: Topology + Sync,
-        R: Router<T, State = S> + Sync,
-        D: DestSampler<T> + Sync,
+        T: Topology,
+        R: Router<T, State = S>,
+        D: DestSampler<T>,
     {
+        let sim = &run.sim;
         let dst = sim.dest.sample(&sim.topo, src, &mut self.rng);
         if src == dst {
             if sim.cfg.include_self_packets {
@@ -332,12 +510,25 @@ impl<S: Copy, Q: EventQueue<SEv>> Local<S, Q> {
             return Ok(());
         }
         self.obs.packet_generated(now);
+        // Deterministic routers draw nothing here (the
+        // `is_route_deterministic` contract), so the RNG stream is the
+        // same with and without route tables.
         let state = sim.router.init_state(&sim.topo, src, dst, &mut self.rng);
-        let hops = sim.router.route_len(&sim.topo, src, dst, state);
-        let sat = if sim.track_saturated {
-            sim.count_saturated_on_route(src, dst, state)
-        } else {
-            0
+        let (hops, sat) = match &run.routes {
+            Some(r) => {
+                let sat = run.sat_counts.as_ref().map_or(0, |sc| {
+                    sc[src.index() * r.num_nodes() + dst.index()] as usize
+                });
+                (r.next_and_dist(src, dst).1, sat)
+            }
+            None => (
+                sim.router.route_len(&sim.topo, src, dst, state),
+                if sim.track_saturated {
+                    sim.count_saturated_on_route(src, dst, state)
+                } else {
+                    0
+                },
+            ),
         };
         self.obs.packet_enters(now, hops, sat);
         let pid = self.alloc(Packet {
@@ -346,103 +537,87 @@ impl<S: Copy, Q: EventQueue<SEv>> Local<S, Q> {
             gen_time: now,
             ttl: ttl_budget(hops),
         });
-        let view = ShardView {
-            edges: &self.edges,
-            part,
-            live: &self.live,
-        };
-        let first = if self.live.is_empty() {
-            match sim.router.next_hop(&sim.topo, src, dst, state, &view) {
-                Some(e) => e,
-                None => return Err(stall::<R>(src, dst)),
-            }
-        } else {
-            // Fault-aware first hop: a walled-in source drops its fresh
-            // packet instead of aborting the run.
-            match sim.router.route_outcome(&sim.topo, src, dst, state, &view) {
-                RouteOutcome::Forward(e) => {
-                    self.packets[pid as usize].ttl -= 1;
-                    e
-                }
-                outcome => {
-                    let cause = if outcome == RouteOutcome::DeadEnd {
-                        DropCause::DeadEnd
-                    } else {
-                        DropCause::LocalMinimum
-                    };
-                    self.drop_packet(sim, now, src, pid, cause);
-                    return Ok(());
-                }
-            }
-        };
-        self.enqueue(sim, part.edge_local(first), first.index() as u32, pid, now);
-        Ok(())
+        self.forward(run, now, src, pid)
     }
 
-    /// Moves a packet onward from `cur`: exit if delivered, otherwise
-    /// enqueue on the next edge. The next edge is always shard-local —
-    /// out-edges belong to their source's shard, and `cur` is on this
-    /// shard whenever this is called.
+    /// Moves a packet onward from `cur` (its source, for a fresh packet):
+    /// exit if delivered, otherwise enqueue on the next edge. The next
+    /// edge is always shard-local — out-edges belong to their source's
+    /// shard, and `cur` is on this shard whenever this is called.
+    #[inline(always)]
     fn forward<T, R, D>(
         &mut self,
-        sim: &NetworkSim<T, R, D>,
-        part: &Partition,
+        run: &Shared<T, R, D>,
         now: f64,
         cur: NodeId,
         pid: u32,
     ) -> Result<(), SimError>
     where
-        T: Topology + Sync,
-        R: Router<T, State = S> + Sync,
-        D: DestSampler<T> + Sync,
+        T: Topology,
+        R: Router<T, State = S>,
+        D: DestSampler<T>,
     {
+        let sim = &run.sim;
         let pk = self.packets[pid as usize];
         if cur == pk.dst {
             self.obs.packet_exits(now, pk.gen_time, true);
             self.free.push(pid);
             return Ok(());
         }
-        let view = ShardView {
-            edges: &self.edges,
-            part,
-            live: &self.live,
-        };
-        let next = if self.live.is_empty() {
-            match sim.router.next_hop(&sim.topo, cur, pk.dst, pk.state, &view) {
-                Some(e) => e,
-                None => return Err(stall::<R>(cur, pk.dst)),
-            }
-        } else if pk.ttl == 0 {
-            self.drop_packet(sim, now, cur, pid, DropCause::TtlExceeded);
-            return Ok(());
+        let next = if let Some(r) = &run.routes {
+            r.next_edge(cur, pk.dst)
         } else {
-            match sim
-                .router
-                .route_outcome(&sim.topo, cur, pk.dst, pk.state, &view)
-            {
-                RouteOutcome::Forward(e) => {
-                    self.packets[pid as usize].ttl -= 1;
-                    e
+            let view = ShardView {
+                edges: &self.edges,
+                part: &run.part,
+                live: &self.live,
+            };
+            if self.live.is_empty() {
+                match sim.router.next_hop(&sim.topo, cur, pk.dst, pk.state, &view) {
+                    Some(e) => e,
+                    None => return Err(stall::<R>(cur, pk.dst)),
                 }
-                outcome => {
-                    let cause = if outcome == RouteOutcome::DeadEnd {
-                        DropCause::DeadEnd
-                    } else {
-                        DropCause::LocalMinimum
-                    };
-                    self.drop_packet(sim, now, cur, pid, cause);
-                    return Ok(());
+            } else if pk.ttl == 0 {
+                // Fault-aware forwarding: unroutable packets (a walled-in
+                // source's fresh one included) and exhausted misroute
+                // budgets become accounted drops, never run-aborting
+                // errors. A fresh packet's budget is never zero.
+                self.drop_packet(run, now, cur, pid, DropCause::TtlExceeded);
+                return Ok(());
+            } else {
+                match sim
+                    .router
+                    .route_outcome(&sim.topo, cur, pk.dst, pk.state, &view)
+                {
+                    RouteOutcome::Forward(e) => {
+                        self.packets[pid as usize].ttl -= 1;
+                        e
+                    }
+                    outcome => {
+                        self.drop_packet(run, now, cur, pid, drop_cause(outcome));
+                        return Ok(());
+                    }
                 }
             }
         };
-        self.enqueue(sim, part.edge_local(next), next.index() as u32, pid, now);
+        self.enqueue(run, next, pid, now);
         Ok(())
     }
 }
 
-/// Entry point for [`EngineSpec::Sharded`](crate::EngineSpec::Sharded):
-/// partitions the topology, spawns one thread per shard, and merges the
-/// per-shard statistics into one [`SimResult`].
+/// The drop cause of a routing outcome that did not forward.
+fn drop_cause(outcome: RouteOutcome) -> DropCause {
+    if outcome == RouteOutcome::DeadEnd {
+        DropCause::DeadEnd
+    } else {
+        DropCause::LocalMinimum
+    }
+}
+
+/// Runs `sim` over `shards` node shards on `list`, with route tables
+/// where `route_tables` is set and the run qualifies, and merges the
+/// per-shard statistics into one [`SimResult`]. One shard runs on the
+/// calling thread; more spawn one thread each.
 ///
 /// # Errors
 ///
@@ -455,10 +630,12 @@ impl<S: Copy, Q: EventQueue<SEv>> Local<S, Q> {
 ///
 /// Panics only when a shard thread itself panics (the panic is
 /// propagated).
-pub(crate) fn run_sharded<T, R, D>(
+pub(crate) fn run<T, R, D>(
     sim: NetworkSim<T, R, D>,
     wall: Instant,
     shards: usize,
+    list: EventList,
+    route_tables: bool,
 ) -> Result<SimResult, SimError>
 where
     T: Topology + Sync,
@@ -477,12 +654,11 @@ where
     }
     // Epoch `j` covers event times `[w_j, w_{j+1})` where the window ends
     // come from the fault-aware lookahead schedule; the final epoch is
-    // unbounded and terminates on the horizon like the single-core loop.
-    // All handoffs emitted during the final epoch would land past the
-    // horizon (their send time is within Δ of it), so it needs no
-    // exchange.
+    // unbounded and terminates on the horizon. All handoffs emitted
+    // during the final epoch would land past the horizon (their send time
+    // is within Δ of it), so it needs no exchange.
     let windows = if part.cut_edges().is_empty() {
-        // No cross-shard traffic (shards = 1): one unbounded epoch, no
+        // No cross-shard traffic (one shard): one unbounded epoch, no
         // barriers, whatever the fault plan says.
         vec![f64::INFINITY]
     } else {
@@ -493,102 +669,111 @@ where
             sim.cfg.horizon,
         )
     };
+    // Route tables are blind to liveness, so fault runs stay on the
+    // on-the-fly routing path.
+    let routes = (route_tables
+        && sim.fault_plan.is_empty()
+        && sim.router.is_route_deterministic()
+        && sim.topo.num_nodes() <= ROUTE_TABLE_MAX_NODES
+        && RouteTable::fits(&sim.topo))
+    .then(|| RouteTable::build(&sim.topo, &sim.router));
+    let sat_counts = match &routes {
+        Some(r) if sim.track_saturated => Some(r.saturated_counts(&sim.sat_edge)),
+        _ => None,
+    };
+    let service_time = (sim.cfg.service == ServiceKind::Deterministic)
+        .then(|| sim.service_rates.iter().map(|r| 1.0 / r).collect());
 
-    // Shard-local source lists, preserving global order (and hence, for a
-    // single shard, the exact single-core RNG priming order). The global
-    // index rides along for positional per-source rate lookup.
-    let mut source_lists: Vec<Vec<(u32, NodeId)>> = vec![Vec::new(); k];
+    // The global source index rides along for positional rate lookup.
+    let mut sources: Vec<Vec<(u32, NodeId)>> = vec![Vec::new(); k];
     for (i, &src) in sim.sources.iter().enumerate() {
-        source_lists[part.node_shard(src)].push((i as u32, src));
+        sources[part.node_shard(src)].push((i as u32, src));
     }
 
-    // The full k×k channel mesh. `txs[from][to]` / `rxs[to][from]`; the
-    // diagonal stays `None`.
-    let mut txs: Vec<TxRow<R::State>> = (0..k).map(|_| (0..k).map(|_| None).collect()).collect();
-    let mut rxs: Vec<RxRow<R::State>> = (0..k).map(|_| (0..k).map(|_| None).collect()).collect();
-    for from in 0..k {
-        for to in 0..k {
-            if from != to {
+    let shared = Shared {
+        sim,
+        part,
+        windows,
+        sources,
+        list,
+        routes,
+        sat_counts,
+        service_time,
+    };
+    let results: Vec<Result<ShardOut, Option<SimError>>> = if k == 1 {
+        vec![run_shard(&shared, 0, &[], &[])]
+    } else {
+        // The full k×k channel mesh. `txs[from][to]` / `rxs[to][from]`;
+        // the diagonal stays `None`.
+        let mut txs: Vec<TxRow<R::State>> =
+            (0..k).map(|_| (0..k).map(|_| None).collect()).collect();
+        let mut rxs: Vec<RxRow<R::State>> =
+            (0..k).map(|_| (0..k).map(|_| None).collect()).collect();
+        for from in 0..k {
+            for to in (0..k).filter(|&to| to != from) {
                 let (tx, rx) = sync_channel(CHANNEL_DEPTH);
                 txs[from][to] = Some(tx);
                 rxs[to][from] = Some(rx);
             }
         }
-    }
-
-    let sim_ref = &sim;
-    let part_ref = &part;
-    let sources_ref = &source_lists;
-    let windows_ref = &windows;
-    let lane = sim.constant_service_time();
-    let results: Vec<Result<ShardOut, Option<SimError>>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = txs
-            .into_iter()
-            .zip(rxs)
-            .enumerate()
-            .map(|(me, (tx_row, rx_row))| {
-                scope.spawn(move || {
-                    let sources = &sources_ref[me];
-                    let n = sources.len().max(1);
-                    if lane {
-                        // Departures ride the lane; the calendar keeps
-                        // about one pending arrival per source.
-                        let queue = LaneQueue::for_simulation(n);
-                        shard_loop(
-                            sim_ref,
-                            part_ref,
-                            me,
-                            sources,
-                            windows_ref,
-                            &tx_row,
-                            &rx_row,
-                            queue,
-                        )
-                    } else {
-                        let queue = CalendarQueue::for_simulation(4 * n);
-                        shard_loop(
-                            sim_ref,
-                            part_ref,
-                            me,
-                            sources,
-                            windows_ref,
-                            &tx_row,
-                            &rx_row,
-                            queue,
-                        )
-                    }
+        let shared = &shared;
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = txs
+                .into_iter()
+                .zip(rxs)
+                .enumerate()
+                .map(|(me, (tx_row, rx_row))| {
+                    scope.spawn(move || run_shard(shared, me, &tx_row, &rx_row))
                 })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| match h.join() {
-                Ok(r) => r,
-                // A shard panicked; its channels dropped on unwind, so the
-                // peers have already bailed out. Re-raise the panic.
-                Err(payload) => std::panic::resume_unwind(payload),
-            })
-            .collect()
-    });
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| match h.join() {
+                    Ok(r) => r,
+                    // A shard panicked; its channels dropped on unwind, so
+                    // the peers have already bailed out. Re-raise the panic.
+                    Err(payload) => std::panic::resume_unwind(payload),
+                })
+                .collect()
+        })
+    };
 
     let mut outs: Vec<ShardOut> = Vec::with_capacity(k);
-    let mut first_err: Option<SimError> = None;
     for r in results {
         match r {
             Ok(o) => outs.push(o),
-            Err(Some(e)) => {
-                first_err.get_or_insert(e);
-            }
+            // The first real error in shard order wins.
+            Err(Some(e)) => return Err(e),
             // Peer-died sentinel: some other shard carries the real error.
             Err(None) => {}
         }
     }
-    if let Some(e) = first_err {
-        return Err(e);
-    }
     assert_eq!(outs.len(), k, "a shard aborted without reporting an error");
 
-    Ok(merge(&sim, &part, outs, wall))
+    Ok(merge(&shared, outs, wall))
+}
+
+/// Runs shard `me` on a fresh event list of the run's kind, sized for its
+/// source count.
+fn run_shard<T, R, D>(
+    run: &Shared<T, R, D>,
+    me: usize,
+    tx: &[Option<SyncSender<Batch<R::State>>>],
+    rx: &[Option<Receiver<Batch<R::State>>>],
+) -> Result<ShardOut, Option<SimError>>
+where
+    T: Topology,
+    R: Router<T>,
+    D: DestSampler<T>,
+{
+    let n = run.sources[me].len().max(1);
+    match run.list {
+        EventList::Heap => shard_loop(run, me, tx, rx, HeapQueue::with_capacity(4 * n)),
+        EventList::Calendar => shard_loop(run, me, tx, rx, CalendarQueue::for_simulation(4 * n)),
+        // Departures ride the lane; the calendar keeps about one pending
+        // arrival per source.
+        EventList::Lane => shard_loop(run, me, tx, rx, LaneQueue::for_simulation(n)),
+    }
 }
 
 /// The epoch cutoffs of the conservative window protocol, fault-aware.
@@ -635,33 +820,39 @@ fn window_ends(cut: &[EdgeId], service_rates: &[f64], plan: &FaultPlan, horizon:
     }
 }
 
-/// One shard's run: the single-core hot loop windowed into epochs, with a
-/// batch exchange at each epoch boundary. Returns `Err(None)` when a peer
+/// One shard's run: the event loop windowed into epochs, with a batch
+/// exchange at each epoch boundary. Returns `Err(None)` when a peer
 /// disappears mid-run (its own error is reported from its thread) and
 /// `Err(Some(_))` for this shard's own structural failures.
-#[allow(clippy::too_many_arguments)]
 fn shard_loop<T, R, D, Q>(
-    sim: &NetworkSim<T, R, D>,
-    part: &Partition,
+    run: &Shared<T, R, D>,
     me: usize,
-    sources: &[(u32, NodeId)],
-    windows: &[f64],
     tx_row: &[Option<SyncSender<Batch<R::State>>>],
     rx_row: &[Option<Receiver<Batch<R::State>>>],
     queue: Q,
 ) -> Result<ShardOut, Option<SimError>>
 where
-    T: Topology + Sync,
-    R: Router<T> + Sync,
-    D: DestSampler<T> + Sync,
-    Q: EventQueue<SEv>,
+    T: Topology,
+    R: Router<T>,
+    D: DestSampler<T>,
+    Q: EventQueue<Ev>,
 {
+    let sim = &run.sim;
+    let part = &run.part;
     let cfg = &sim.cfg;
+    let sources = &run.sources[me];
     let k = part.shards();
     let local_edges = part.shard_edge_count(me);
 
-    let mut is_cut = vec![false; local_edges];
-    let mut cut_to = vec![(NodeId(0), 0u32); local_edges];
+    let owns_cut = part.cut_edges().iter().any(|&e| part.edge_shard(e) == me);
+    let (mut is_cut, mut cut_to) = if owns_cut {
+        (
+            vec![false; local_edges],
+            vec![(NodeId(0), 0u32); local_edges],
+        )
+    } else {
+        (Vec::new(), Vec::new())
+    };
     for &e in part.cut_edges() {
         if part.edge_shard(e) == me {
             let le = part.edge_local(e);
@@ -699,52 +890,53 @@ where
         },
     };
 
-    // Prime the event list exactly like the single-core loop, restricted
-    // to this shard's sources.
+    // Prime the event list. Zero-rate sources never get an arrival event;
+    // every positive-rate source draws in list order.
     match cfg.slot {
         None => {
             for &(gi, _) in sources {
                 let rate = sim.source_rate(gi as usize);
                 if rate > 0.0 {
                     let dt = exp_sample(&mut local.rng, rate);
-                    local.queue.schedule(dt, SEv::Arrival(gi));
+                    local.queue.schedule(dt, Ev::Arrival(gi));
                 }
             }
         }
         Some(tau) => {
             assert!(tau > 0.0, "slot width must be positive");
-            local.queue.schedule(tau, SEv::Slot);
+            local.queue.schedule(tau, Ev::Slot);
         }
     }
     if cfg.warmup > 0.0 {
-        local.queue.schedule(cfg.warmup, SEv::Warmup);
+        local.queue.schedule(cfg.warmup, Ev::Warmup);
     }
     if let Some(dt) = cfg.sample_every {
         assert!(dt > 0.0);
-        local.queue.schedule(dt, SEv::Sample);
+        local.queue.schedule(dt, Ev::Sample);
     }
     for (fk, fe) in sim.fault_plan.events.iter().enumerate() {
         if fe.time <= cfg.horizon {
-            local.queue.schedule(fe.time, SEv::Fault(fk as u32));
+            local.queue.schedule(fe.time, Ev::Fault(fk as u32));
         }
     }
     // Probe priming comes last so `probes=None` leaves the schedule call
-    // sequence exactly as a pre-telemetry build produced it.
+    // sequence — and hence every event sequence number — exactly as a
+    // pre-telemetry build produced it. Only the sharded engine reports
+    // per-shard handoff (`cut`) series.
     let mut recorder = cfg.probes.as_ref().map(|spec| {
-        let rec = Recorder::for_shard(spec, cfg.horizon, me);
-        local.queue.schedule(rec.base(), SEv::Probe);
+        let rec = if matches!(cfg.engine, EngineSpec::Sharded { .. }) {
+            Recorder::for_shard(spec, cfg.horizon, me)
+        } else {
+            Recorder::new(spec, cfg.horizon)
+        };
+        local.queue.schedule(rec.base(), Ev::Probe);
         rec
     });
 
-    // `Arrival` carries the *global* source index (so rates stay
-    // positional); map it back to the packed list position only for
-    // clarity in the prime above — the handler needs the node and rate.
-    let node_of = |gi: u32| sim.sources[gi as usize];
-
     let mut events: u64 = 0;
     let mut cut_handoffs: u64 = 0;
-    'run: for (wi, &cutoff) in windows.iter().enumerate() {
-        let last = wi + 1 == windows.len();
+    'run: for (wi, &cutoff) in run.windows.iter().enumerate() {
+        let last = wi + 1 == run.windows.len();
         while let Some((t, ev)) = local.queue.next() {
             if t >= cutoff {
                 // Not ours to run yet: push it back (it re-enters the
@@ -761,7 +953,7 @@ where
             events += 1;
             let now = t;
             match ev {
-                SEv::Warmup => {
+                Ev::Warmup => {
                     local.obs.reset_at_warmup();
                     if cfg.track_edge_queues {
                         for (edge, tq) in local.edges.iter().zip(local.qtrack.iter_mut()) {
@@ -770,29 +962,30 @@ where
                         }
                     }
                 }
-                SEv::Sample => {
+                Ev::Sample => {
                     local.obs.sample_n(now);
                     local
                         .queue
-                        .schedule(now + cfg.sample_every.unwrap(), SEv::Sample);
+                        .schedule(now + cfg.sample_every.unwrap(), Ev::Sample);
                 }
-                SEv::Arrival(gi) => {
-                    local.inject(sim, part, now, node_of(gi)).map_err(Some)?;
+                Ev::Arrival(gi) => {
+                    let src = sim.sources[gi as usize];
+                    local.inject(run, now, src).map_err(Some)?;
                     let dt = exp_sample(&mut local.rng, sim.source_rate(gi as usize));
-                    local.queue.schedule(now + dt, SEv::Arrival(gi));
+                    local.queue.schedule(now + dt, Ev::Arrival(gi));
                 }
-                SEv::Slot => {
+                Ev::Slot => {
                     let tau = cfg.slot.unwrap();
                     for &(gi, src) in sources {
                         let mean = sim.source_rate(gi as usize) * tau;
                         let batch = poisson_sample(&mut local.rng, mean);
                         for _ in 0..batch {
-                            local.inject(sim, part, now, src).map_err(Some)?;
+                            local.inject(run, now, src).map_err(Some)?;
                         }
                     }
-                    local.queue.schedule(now + tau, SEv::Slot);
+                    local.queue.schedule(now + tau, Ev::Slot);
                 }
-                SEv::Departure(ge) => {
+                Ev::Departure(ge) => {
                     let ei = ge as usize;
                     let le = part.edge_local(EdgeId(ge));
                     if cfg.track_edge_queues {
@@ -804,34 +997,38 @@ where
                     local.obs.service_done(now, le, duration, sim.sat_edge[ei]);
                     local.edges[le].busy = false;
                     if local.edges[le].qlen > 0 && (local.live.is_empty() || local.live[ei]) {
-                        local.start_service(sim, le, ge, now);
+                        local.start_service(run, le, ge, now);
                     }
-                    if local.is_cut[le] {
+                    if !local.is_cut.is_empty() && local.is_cut[le] {
                         // The packet was already emitted to the target
                         // shard at service start; its slot is free again.
                         local.free.push(pid);
                     } else {
-                        let cur = sim.topo.edge_target(EdgeId(ge));
-                        local.forward(sim, part, now, cur, pid).map_err(Some)?;
+                        let cur = match &run.routes {
+                            Some(r) => r.edge_target(EdgeId(ge)),
+                            None => sim.topo.edge_target(EdgeId(ge)),
+                        };
+                        local.forward(run, now, cur, pid).map_err(Some)?;
                     }
                 }
-                SEv::Handoff(pid) => {
+                Ev::Handoff(pid) => {
                     cut_handoffs += 1;
                     let cur = local.hand_node[pid as usize];
-                    local.forward(sim, part, now, cur, pid).map_err(Some)?;
+                    local.forward(run, now, cur, pid).map_err(Some)?;
                 }
-                SEv::Fault(fk) => {
+                Ev::Fault(fk) => {
                     let fe = sim.fault_plan.events[fk as usize];
                     let gi = fe.edge.index();
                     if fe.up {
                         local.live[gi] = true;
                         if part.edge_shard(fe.edge) == me {
                             let le = part.edge_local(fe.edge);
-                            // Defensive restart, mirroring the single-core
-                            // engine (the flush leaves at most the
-                            // in-flight head on a dead edge).
+                            // Defensive: the flush below leaves at most
+                            // the in-flight head queued on a dead edge,
+                            // but if a packet is waiting, service must
+                            // restart.
                             if local.edges[le].qlen > 0 && !local.edges[le].busy {
-                                local.start_service(sim, le, gi as u32, now);
+                                local.start_service(run, le, gi as u32, now);
                             }
                         }
                     } else {
@@ -843,30 +1040,17 @@ where
                             }
                             // The in-flight transmission (if any) finishes;
                             // everything waiting behind it drops here.
-                            let edge = &mut local.edges[le];
-                            let mut pid = if edge.busy {
-                                let waiting = local.qnext[edge.head as usize];
-                                local.qnext[edge.head as usize] = NIL;
-                                edge.tail = edge.head;
-                                edge.qlen = 1;
-                                waiting
-                            } else {
-                                let waiting = edge.head;
-                                edge.head = NIL;
-                                edge.tail = NIL;
-                                edge.qlen = 0;
-                                waiting
-                            };
+                            let mut pid = q_detach_waiting(&mut local.edges[le], &mut local.qnext);
                             let at = sim.topo.edge_source(fe.edge);
                             while pid != NIL {
                                 let next_waiting = local.qnext[pid as usize];
-                                local.drop_packet(sim, now, at, pid, DropCause::LinkDown);
+                                local.drop_packet(run, now, at, pid, DropCause::LinkDown);
                                 pid = next_waiting;
                             }
                         }
                     }
                 }
-                SEv::Probe => {
+                Ev::Probe => {
                     let rec = recorder.as_mut().expect("probe event without recorder");
                     let spec = *rec.spec();
                     let mut sample = ProbeSample {
@@ -896,7 +1080,7 @@ where
                         // event count, the shared clock).
                         crate::telemetry::emit_progress(now, cfg.horizon, sample.events as u64);
                     }
-                    local.queue.schedule(now + rec.interval(), SEv::Probe);
+                    local.queue.schedule(now + rec.interval(), Ev::Probe);
                 }
             }
         }
@@ -926,14 +1110,9 @@ where
         // is identical on every rerun.
         incoming.sort_by(|a, b| a.time.partial_cmp(&b.time).expect("no NaN handoff times"));
         for m in incoming {
-            let pid = local.alloc(Packet {
-                dst: m.dst,
-                state: m.state,
-                gen_time: m.gen_time,
-                ttl: m.ttl,
-            });
+            let pid = local.alloc(m.pk);
             local.hand_node[pid as usize] = m.node;
-            local.queue.schedule(m.time, SEv::Handoff(pid));
+            local.queue.schedule(m.time, Ev::Handoff(pid));
         }
     }
 
@@ -961,24 +1140,17 @@ where
     })
 }
 
-/// Merges per-shard outputs into one [`SimResult`], using the exact
-/// formulas of the single-core result assembly so that `shards = 1`
-/// reproduces [`EngineSpec::Calendar`](crate::EngineSpec::Calendar) bit
-/// for bit.
-fn merge<T, R, D>(
-    sim: &NetworkSim<T, R, D>,
-    part: &Partition,
-    mut outs: Vec<ShardOut>,
-    wall: Instant,
-) -> SimResult
+/// Merges per-shard outputs into one [`SimResult`]. Every sum starts from
+/// zero and adds the shards in order, so one shard passes through exactly.
+fn merge<T, R, D>(run: &Shared<T, R, D>, mut outs: Vec<ShardOut>, wall: Instant) -> SimResult
 where
-    T: Topology + Sync,
-    R: Router<T> + Sync,
-    D: DestSampler<T> + Sync,
+    T: Topology,
+    R: Router<T>,
+    D: DestSampler<T>,
 {
-    let cfg = &sim.cfg;
+    let cfg = &run.sim.cfg;
+    let part = &run.part;
     let measure_time = (cfg.horizon - cfg.warmup).max(f64::MIN_POSITIVE);
-
     // Per-shard telemetry recorders merge deterministically in shard
     // order: all shards ran the identical probe tick schedule, so shared
     // series combine sample-by-sample (sum/max) and per-shard series
@@ -1013,7 +1185,7 @@ where
     let time_avg_rs = rs_integral / measure_time;
 
     // Scatter the shard-local per-edge tallies back to global indexing.
-    let num_edges = sim.topo.num_edges();
+    let num_edges = run.sim.topo.num_edges();
     let mut edge_busy = vec![0.0f64; num_edges];
     let mut edge_services = vec![0u64; num_edges];
     for ei in 0..num_edges {
@@ -1037,12 +1209,9 @@ where
 
     let quantiles = cfg.delay_quantiles.then(|| {
         let mut merged = Reservoir::new(RESERVOIR_CAPACITY, cfg.seed ^ 0x5EED);
-        for o in &outs {
-            if let Some(r) = &o.obs.delay_sample {
-                for &x in r.samples() {
-                    merged.push(x);
-                }
-            }
+        let shard_samples = outs.iter().filter_map(|o| o.obs.delay_sample.as_ref());
+        for &x in shard_samples.flat_map(Reservoir::samples) {
+            merged.push(x);
         }
         merged
     });
@@ -1066,24 +1235,12 @@ where
         generated,
         completed,
         dropped,
-        delivered_fraction: if generated > 0 {
-            completed as f64 / generated as f64
-        } else {
-            0.0
-        },
+        delivered_fraction: ratio(completed as f64, generated as f64),
         time_avg_n,
         time_avg_r,
         time_avg_rs,
-        r_ratio: if time_avg_n > 0.0 {
-            time_avg_r / time_avg_n
-        } else {
-            0.0
-        },
-        rs_ratio: if time_avg_n > 0.0 {
-            time_avg_rs / time_avg_n
-        } else {
-            0.0
-        },
+        r_ratio: ratio(time_avg_r, time_avg_n),
+        rs_ratio: ratio(time_avg_rs, time_avg_n),
         little_delay: little_delay(time_avg_n, generated, measure_time),
         max_edge_utilization: max_util,
         edge_throughput: if num_edges <= STREAMING_STATS_MAX_EDGES {
@@ -1117,6 +1274,15 @@ where
         edge_mean_queue,
         n_samples,
         telemetry,
+    }
+}
+
+/// `num / den`, or zero when `den` is not positive.
+fn ratio(num: f64, den: f64) -> f64 {
+    if den > 0.0 {
+        num / den
+    } else {
+        0.0
     }
 }
 
@@ -1159,13 +1325,6 @@ mod tests {
         assert_eq!(a.edge_mean_queue, b.edge_mean_queue);
         assert_eq!(a.edge_throughput, b.edge_throughput);
         assert_eq!(a.n_samples, b.n_samples);
-    }
-
-    #[test]
-    fn one_shard_reproduces_the_calendar_engine_bit_for_bit() {
-        let calendar = run(EngineSpec::Calendar);
-        let sharded = run(EngineSpec::Sharded { shards: 1 });
-        assert_bits(&calendar, &sharded);
     }
 
     #[test]

@@ -428,7 +428,7 @@ impl SweepSpec {
     ///                                  link:<id>, node:<id>, joined with
     ///                                  `+`, plus at:<t> and repair:<dt>)
     /// engine=auto|heap|calendar|sharded:<N> (default auto; a perf
-    ///                                  ablation axis — single-core engines
+    ///                                  ablation axis — one-shard engines
     ///                                  are bit-identical, `sharded:<N>`
     ///                                  is the conservative parallel
     ///                                  engine)

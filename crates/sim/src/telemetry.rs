@@ -83,8 +83,8 @@ pub struct ProbeSpec {
     pub delivered: bool,
     /// Sample per-shard engine counters (events processed, queue mass,
     /// cut-edge handoffs), one series per shard — load-balance
-    /// observability for the sharded engine. Single-core engines emit the
-    /// same series for their one implicit shard.
+    /// observability for the sharded engine. The one-shard engines emit
+    /// the same series for their one implicit shard.
     pub shards: bool,
     /// Base sampling interval Δ; `None` picks `horizon / 256`.
     pub every: Option<f64>,
@@ -268,7 +268,7 @@ pub struct Recorder {
 }
 
 impl Recorder {
-    /// Recorder for a single-core engine run of the given horizon. The
+    /// Recorder for a one-shard engine run of the given horizon. The
     /// `shards` selector maps to the engine's one implicit shard
     /// (`shard0:events`, `shard0:qmass`).
     #[must_use]

@@ -26,6 +26,8 @@ pub struct Partition {
     edge_shard: Vec<u32>,
     /// Dense per-shard edge index: `edge_local[e]` is `e`'s position
     /// among the edges owned by `edge_shard[e]`, in global edge order.
+    /// Both per-edge arrays stay empty for a single shard, which owns
+    /// every edge at its global index.
     edge_local: Vec<u32>,
     shard_edge_counts: Vec<usize>,
     shard_nodes: Vec<Vec<NodeId>>,
@@ -41,17 +43,25 @@ impl Partition {
         let n = topo.num_nodes();
         let k = shards.clamp(1, n.max(1));
         let node_shard: Vec<u32> = (0..n).map(|i| ((i * k) / n.max(1)) as u32).collect();
-        let mut edge_shard = vec![0u32; topo.num_edges()];
-        let mut edge_local = vec![0u32; topo.num_edges()];
+        let mut edge_shard = Vec::new();
+        let mut edge_local = Vec::new();
         let mut shard_edge_counts = vec![0usize; k];
         let mut cut_edges = Vec::new();
-        for e in topo.edges() {
-            let s = node_shard[topo.edge_source(e).index()];
-            edge_shard[e.index()] = s;
-            edge_local[e.index()] = shard_edge_counts[s as usize] as u32;
-            shard_edge_counts[s as usize] += 1;
-            if node_shard[topo.edge_target(e).index()] != s {
-                cut_edges.push(e);
+        if k == 1 {
+            // One block owns every edge at its own index: no per-edge
+            // arrays (see `edge_shard` / `edge_local`).
+            shard_edge_counts[0] = topo.num_edges();
+        } else {
+            edge_shard = vec![0u32; topo.num_edges()];
+            edge_local = vec![0u32; topo.num_edges()];
+            for e in topo.edges() {
+                let s = node_shard[topo.edge_source(e).index()];
+                edge_shard[e.index()] = s;
+                edge_local[e.index()] = shard_edge_counts[s as usize] as u32;
+                shard_edge_counts[s as usize] += 1;
+                if node_shard[topo.edge_target(e).index()] != s {
+                    cut_edges.push(e);
+                }
             }
         }
         let mut shard_nodes = vec![Vec::new(); k];
@@ -86,6 +96,9 @@ impl Partition {
     #[inline]
     #[must_use]
     pub fn edge_shard(&self, e: EdgeId) -> usize {
+        if self.shards == 1 {
+            return 0;
+        }
         self.edge_shard[e.index()] as usize
     }
 
@@ -93,6 +106,9 @@ impl Partition {
     #[inline]
     #[must_use]
     pub fn edge_local(&self, e: EdgeId) -> usize {
+        if self.shards == 1 {
+            return e.index();
+        }
         self.edge_local[e.index()] as usize
     }
 
@@ -159,22 +175,25 @@ mod tests {
     #[test]
     fn edges_belong_to_their_source_shard_with_dense_local_indices() {
         let topo = Hypercube::new(4);
-        let p = Partition::contiguous(&topo, 3);
-        let mut next_local = [0usize; 3];
-        for e in topo.edges() {
-            let s = p.edge_shard(e);
-            assert_eq!(s, p.node_shard(topo.edge_source(e)));
-            assert_eq!(p.edge_local(e), next_local[s]);
-            next_local[s] += 1;
+        // One shard takes the array-free path; three the general one.
+        for k in [1, 3] {
+            let p = Partition::contiguous(&topo, k);
+            let mut next_local = vec![0usize; k];
+            for e in topo.edges() {
+                let s = p.edge_shard(e);
+                assert_eq!(s, p.node_shard(topo.edge_source(e)));
+                assert_eq!(p.edge_local(e), next_local[s]);
+                next_local[s] += 1;
+            }
+            for (s, &count) in next_local.iter().enumerate() {
+                assert_eq!(p.shard_edge_count(s), count);
+            }
+            assert_eq!(
+                next_local.iter().sum::<usize>(),
+                topo.num_edges(),
+                "every edge is owned by exactly one shard"
+            );
         }
-        for (s, &count) in next_local.iter().enumerate() {
-            assert_eq!(p.shard_edge_count(s), count);
-        }
-        assert_eq!(
-            next_local.iter().sum::<usize>(),
-            topo.num_edges(),
-            "every edge is owned by exactly one shard"
-        );
     }
 
     #[test]
