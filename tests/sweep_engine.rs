@@ -239,3 +239,95 @@ fn repro_sweep_cli_writes_checked_json() {
         .expect("spawn cargo run repro");
     assert!(!bad.status.success());
 }
+
+/// 64-bit FNV-1a over every expanded cell's spec string and seed, in cell
+/// order: one number that moves if any cell's parameters, seed or position
+/// changes.
+fn cell_digest(spec: &SweepSpec) -> u64 {
+    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
+    for cell in spec.expand().unwrap() {
+        let text = format!("{}\n{}\n", cell.spec_string(), cell.seed);
+        for byte in text.bytes() {
+            hash ^= u64::from(byte);
+            hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
+        }
+    }
+    hash
+}
+
+#[test]
+fn repo_sweep_specs_keep_their_canonical_form_and_cells() {
+    // Every sweep spec the repo ships — CI's smoke jobs, the README, the
+    // parameter-sweep example, the sweep bench and the benchmark's
+    // `sweep-mixed` workload at seed 7 (in its own, non-canonical clause
+    // order) — with its canonical `spec_string()` and cell digest.
+    let pins: &[(&str, &str, u64)] = &[
+        (
+            "topo=mesh:5|torus:5|hypercube:3|butterfly:3 load=rho:0.2|rho:0.6 \
+             reps=2 seed=7 horizon=600 warmup=60",
+            "topo=mesh:5|torus:5|hypercube:3|butterfly:3 load=rho:0.2|rho:0.6 reps=2 seed=7 horizon=600 warmup=60",
+            0x23ca57e9995c72dd,
+        ),
+        (
+            "topo=mesh:4 load=util:0.3 traffic=uniform|transpose|hotspot:0.25 \
+             reps=2 seed=7 horizon=600 warmup=60",
+            "topo=mesh:4 load=util:0.3 traffic=uniform|transpose|hotspot:0.25 reps=2 seed=7 horizon=600 warmup=60",
+            0xe613d1d04f30a5de,
+        ),
+        (
+            "topo=mesh:6 traffic=transpose load=util:0.3 \
+             router=greedy|oddeven reps=2 seed=7 horizon=600 warmup=60",
+            "topo=mesh:6 load=util:0.3 router=greedy|oddeven traffic=transpose reps=2 seed=7 horizon=600 warmup=60",
+            0xc1aba94ccf4b465c,
+        ),
+        (
+            "topo=hypercube:16 traffic=shuffle load=rho:0.3 reps=1 seed=7 horizon=30 warmup=3",
+            "topo=hypercube:16 load=rho:0.3 traffic=shuffle seed=7 horizon=30 warmup=3",
+            0xf2ac73b6a478551e,
+        ),
+        (
+            "topo=hypercube:16 traffic=shuffle load=rho:0.3 reps=1 seed=7 horizon=30 warmup=3 \
+             probes=nsys,shards",
+            "topo=hypercube:16 load=rho:0.3 traffic=shuffle probes=nsys,shards seed=7 horizon=30 warmup=3",
+            0xf0945aa7fe307c5a,
+        ),
+        (
+            "topo=hypercube:16 traffic=shuffle load=rho:0.3 \
+             faults=none|links:0.05 reps=1 seed=7 horizon=30 warmup=3",
+            "topo=hypercube:16 load=rho:0.3 traffic=shuffle faults=none|links:0.05 seed=7 horizon=30 warmup=3",
+            0x28c21a6334e1c8e1,
+        ),
+        (
+            "topo=mesh:5|mesh:10|torus:8 load=rho:0.2|rho:0.8|rho:0.95 \
+             reps=3 seed=7 horizon=auto:6000:100000",
+            "topo=mesh:5|mesh:10|torus:8 load=rho:0.2|rho:0.8|rho:0.95 reps=3 seed=7 horizon=auto:6000:100000",
+            0x6438e5066b7cd598,
+        ),
+        ("topo=mesh:5 load=rho:0.2", "topo=mesh:5 load=rho:0.2", 0x0bcc8a8b0792b66f),
+        (
+            "topo=mesh:5|mesh:8|torus:6 load=rho:0.2|rho:0.5|rho:0.8 \
+             reps=2 seed=7 horizon=auto:800:6000",
+            "topo=mesh:5|mesh:8|torus:6 load=rho:0.2|rho:0.5|rho:0.8 reps=2 seed=7 horizon=auto:800:6000",
+            0x116d50eb45e3ec5e,
+        ),
+        (
+            "topo=mesh:5|mesh:6|torus:5|torus:6 load=rho:0.2|rho:0.6 horizon=300 warmup=30",
+            "topo=mesh:5|mesh:6|torus:5|torus:6 load=rho:0.2|rho:0.6 horizon=300 warmup=30",
+            0x797d1c9939a68f65,
+        ),
+        (
+            "topo=mesh:16|torus:16 router=greedy|oddeven traffic=uniform|transpose \
+             load=util:0.3|util:0.7 faults=none|links:0.02 probes=nsys,maxq reps=2 \
+             service=det horizon=3000 warmup=300 engine=auto seed=7",
+            "topo=mesh:16|torus:16 load=util:0.3|util:0.7 router=greedy|oddeven traffic=uniform|transpose faults=none|links:0.02 probes=nsys,maxq reps=2 seed=7 horizon=3000 warmup=300",
+            0x582d3530d9720f67,
+        ),
+    ];
+    for &(written, canonical, digest) in pins {
+        let spec = SweepSpec::parse(written).unwrap_or_else(|e| panic!("`{written}`: {e}"));
+        assert_eq!(spec.spec_string(), canonical, "`{written}`");
+        assert_eq!(cell_digest(&spec), digest, "cells of `{written}`");
+        // The canonical form is a fixed point of the grammar.
+        assert_eq!(SweepSpec::parse(canonical).unwrap(), spec, "`{canonical}`");
+    }
+}
