@@ -29,8 +29,9 @@
 //!
 //! `repro sweep` runs a whole scenario grid in parallel and emits the
 //! machine-readable JSON report (`meshbound::sweep`). The spec is either a
-//! sweep-grammar string such as
-//! `"topo=mesh:5|torus:8 load=rho:0.2|rho:0.8 reps=2"` or one of the
+//! sweep-grammar string — a scenario spec whose values may be
+//! `|`-separated alternatives, such as
+//! `"topo=mesh:5|torus:8 load=rho:0.2|rho:0.8 reps=2"` — or one of the
 //! predefined paper grids `table1`/`table2`/`table3` (honoring `--quick`).
 //! `--out` writes the JSON report, `--jobs 1` forces sequential cell
 //! execution (`--jobs N` caps the Rayon pool), and `--check` exits
@@ -84,7 +85,8 @@ fn usage() -> String {
          options (router=greedy|randomized|westfirst|oddeven, traffic,\n\
          src, lambda/rho/util or\n\
          load=<convention>:<value>, horizon, warmup, seed, service, slot,\n\
-         sample, self, saturated, quantiles, queues, engine, faults).\n\
+         sample, self, saturated, quantiles, queues, engine/shards,\n\
+         faults, probes); each setting may be given once.\n\
          \n\
          faults= injects a deterministic failure schedule: none,\n\
          links:<rate>, nodes:<rate>, link:<id>, node:<id>, joined with\n\
@@ -113,12 +115,13 @@ fn usage() -> String {
          probe-tick progress line to stderr (TTY only).\n\
          \n\
          sweep specs are either table1|table2|table3 (the paper grids at\n\
-         the current scale) or an axis grammar like\n\
+         the current scale) or a scenario spec whose values may be\n\
+         `|`-separated alternatives, like\n\
          `topo=mesh:5|torus:8 load=rho:0.2|rho:0.8\n\
-         traffic=uniform|transpose reps=2 seed=7 horizon=auto:1500:12000`\n\
-         (axes: topo, load, router, traffic, faults, engine; shared\n\
-         knobs: src, service, reps, seed, horizon, warmup, saturated,\n\
-         probes).",
+         traffic=uniform|transpose reps=2 seed=7 horizon=auto:1500:12000`:\n\
+         any scenario key, with the topology head spelled topo=, plus the\n\
+         sweep-only reps, seed and horizon/warmup (a fixed horizon or\n\
+         auto:<base>:<cap>). The grid is the product of the alternatives.",
         ARTIFACTS.join("|")
     )
 }
@@ -298,7 +301,7 @@ fn sweep_command(
         ),
         grammar => {
             let parsed = SweepSpec::parse(grammar).map(|sw| match engine {
-                Some(e) => sw.engines(vec![e]),
+                Some(e) => sw.with_engine(e),
                 None => sw,
             });
             match parsed.and_then(|sw| run_sweep(&sw, jobs_mode)) {

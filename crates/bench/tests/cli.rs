@@ -158,3 +158,25 @@ fn tick_intervals_that_never_finish_are_refused() {
         assert!(!stderr.contains("panicked"), "{spec}: {stderr}");
     }
 }
+
+#[test]
+fn oversized_topologies_are_refused() {
+    // 10¹⁰ nodes used to abort on a failed allocation, a 2⁶⁴-node k-d
+    // mesh wrapped its extent product to 0 and "ran" an empty network,
+    // and a 2⁶⁴-node array hung. Every family now refuses more than 2²⁶
+    // nodes up front: exit 2 with one `repro: …` line.
+    for spec in [
+        "mesh:100000",
+        "kd:4294967296x4294967296",
+        "mesh:4294967296x4294967296",
+    ] {
+        let out = repro_within(&["scenario", spec], std::time::Duration::from_secs(60));
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{spec}: {stderr}");
+        let errors: Vec<&str> = stderr.lines().filter(|l| l.starts_with("repro:")).collect();
+        assert_eq!(errors.len(), 1, "{spec}: {stderr}");
+        assert!(stderr.starts_with(errors[0]), "{spec}: {stderr}");
+        assert!(errors[0].contains("nodes"), "{spec}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{spec}: {stderr}");
+    }
+}

@@ -501,20 +501,17 @@ fn run_cell(sc: &Scenario, reps: usize, check: BoundsCheck) -> SweepCellReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use meshbound_queueing::load::Load;
-    use meshbound_sim::{HorizonPolicy, SweepSpec, TopologySpec};
+    use meshbound_sim::SweepSpec;
+
+    const TINY: &str = "topo=mesh:4|torus:4 load=rho:0.2|rho:0.6 horizon=500 warmup=50";
 
     fn tiny() -> SweepSpec {
-        SweepSpec::new()
-            .topologies(vec![
-                TopologySpec::Mesh { rows: 4, cols: 4 },
-                TopologySpec::Torus { n: 4 },
-            ])
-            .loads(vec![Load::TableRho(0.2), Load::TableRho(0.6)])
-            .horizon(HorizonPolicy::Fixed {
-                horizon: 500.0,
-                warmup: 50.0,
-            })
+        SweepSpec::parse(TINY).unwrap()
+    }
+
+    /// [`TINY`] at the single load ρ = 0.2.
+    fn tiny_light() -> SweepSpec {
+        SweepSpec::parse(&TINY.replace("|rho:0.6", "")).unwrap()
     }
 
     #[test]
@@ -538,7 +535,7 @@ mod tests {
 
     #[test]
     fn perf_counters_are_populated_and_stripped_with_timings() {
-        let report = run_sweep(&tiny().loads(vec![Load::TableRho(0.2)]), Jobs::Sequential).unwrap();
+        let report = run_sweep(&tiny_light(), Jobs::Sequential).unwrap();
         for cell in &report.cells {
             assert!(cell.events_processed > 0, "{}", cell.spec);
             assert!(cell.events_per_sec > 0.0, "{}", cell.spec);
@@ -589,7 +586,7 @@ mod tests {
 
     #[test]
     fn json_is_schema_versioned_and_machine_readable() {
-        let report = run_sweep(&tiny().loads(vec![Load::TableRho(0.2)]), Jobs::Sequential).unwrap();
+        let report = run_sweep(&tiny_light(), Jobs::Sequential).unwrap();
         let json = report.to_json();
         assert!(json.starts_with(&format!("{{\"schema\":\"{SCHEMA}\"")));
         assert!(json.contains("\"within_bounds\":true"));
@@ -692,8 +689,7 @@ mod tests {
 
     #[test]
     fn text_rendering_flags_violations() {
-        let mut report =
-            run_sweep(&tiny().loads(vec![Load::TableRho(0.2)]), Jobs::Sequential).unwrap();
+        let mut report = run_sweep(&tiny_light(), Jobs::Sequential).unwrap();
         assert!(report.to_text().contains("ok"));
         report.cells[0].within_bounds = false;
         assert!(report.to_text().contains("VIOLATED"));

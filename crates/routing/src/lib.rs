@@ -64,8 +64,6 @@ pub use randomized::{Order, RandomizedGreedy};
 pub use router::{ObliviousRouter, RouteOutcome, Router};
 pub use table::RouteTable;
 pub use torus::TorusGreedy;
-#[allow(deprecated)]
-pub use traffic::traffic_fixed_point;
 pub use traffic::{
     adaptive_edge_rates, try_traffic_fixed_point, MarkovRouting, TrafficConvergenceError,
 };

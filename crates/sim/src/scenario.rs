@@ -111,15 +111,26 @@ impl TopologySpec {
         }
     }
 
-    /// Total node count.
+    /// Total node count, saturating at `usize::MAX` for a size whose count
+    /// overflows ([`Scenario::validate`] rejects anything above
+    /// [`MAX_NODES`]).
     #[must_use]
     pub fn num_nodes(&self) -> usize {
+        self.checked_num_nodes().unwrap_or(usize::MAX)
+    }
+
+    /// Total node count, or `None` if it overflows `usize`.
+    fn checked_num_nodes(&self) -> Option<usize> {
         match self {
-            TopologySpec::Mesh { rows, cols } => rows * cols,
-            TopologySpec::Torus { n } => n * n,
-            TopologySpec::Hypercube { dim } => 1 << dim,
-            TopologySpec::Butterfly { k } => (k + 1) << k,
-            TopologySpec::MeshKd { dims } => dims.iter().product(),
+            TopologySpec::Mesh { rows, cols } => rows.checked_mul(*cols),
+            TopologySpec::Torus { n } => n.checked_mul(*n),
+            TopologySpec::Hypercube { dim } => 1usize.checked_shl(u32::try_from(*dim).ok()?),
+            TopologySpec::Butterfly { k } => 1usize
+                .checked_shl(u32::try_from(*k).ok()?)?
+                .checked_mul(k.checked_add(1)?),
+            TopologySpec::MeshKd { dims } => {
+                dims.iter().try_fold(1usize, |acc, &d| acc.checked_mul(d))
+            }
         }
     }
 
@@ -236,12 +247,15 @@ impl TopologySpec {
                 if dims.iter().any(|&d| d < 2) {
                     return bad(format!("every k-d mesh extent must be >= 2, got {dims:?}"));
                 }
-                if dims.iter().product::<usize>() >= u32::MAX as usize / 2 {
-                    return bad(format!("k-d mesh {dims:?} too large"));
-                }
             }
         }
-        Ok(())
+        match self.checked_num_nodes() {
+            Some(nodes) if nodes <= MAX_NODES => Ok(()),
+            nodes => Err(ScenarioError::TooManyNodes {
+                topology: self.spec_head(),
+                nodes,
+            }),
+        }
     }
 }
 
@@ -453,6 +467,11 @@ fn torus_uniform_unit_rates(n: usize) -> Vec<f64> {
 /// now`) a tick stops advancing time at all.
 pub const MAX_TICKS: f64 = 1e9;
 
+/// The largest node count [`Scenario::validate`] accepts in any family:
+/// 2²⁶, the size of `hypercube:26`. Node ids and edge offsets are 32-bit,
+/// and per-node state at this size already takes gigabytes.
+pub const MAX_NODES: usize = 1 << 26;
+
 /// Why a scenario specification was rejected.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ScenarioError {
@@ -481,6 +500,13 @@ pub enum ScenarioError {
         interval: f64,
         /// The run's horizon.
         horizon: f64,
+    },
+    /// The topology has more than [`MAX_NODES`] nodes.
+    TooManyNodes {
+        /// The topology's spec head, e.g. `mesh:100000`.
+        topology: String,
+        /// Its node count, or `None` if the count overflows `usize`.
+        nodes: Option<usize>,
     },
 }
 
@@ -511,6 +537,13 @@ impl std::fmt::Display for ScenarioError {
                  above the cap of {MAX_TICKS:.0e} ticks per run",
                 horizon / interval
             ),
+            ScenarioError::TooManyNodes { topology, nodes } => {
+                match nodes {
+                    Some(n) => write!(f, "topology `{topology}` has {n} nodes")?,
+                    None => write!(f, "topology `{topology}` has too many nodes to count")?,
+                }
+                write!(f, ", above the cap of {MAX_NODES} (2^26) nodes")
+            }
         }
     }
 }
@@ -1786,44 +1819,36 @@ impl Scenario {
     /// `probes=<series>[,<series>…][@<dt>]|none` (series from `nsys`,
     /// `maxq`, `drops`, `delivered`, `shards` — see
     /// [`ProbeSpec::parse_token`]), `engine=auto|heap|calendar|sharded:<N>`
-    /// and `shards=<N>` (shorthand for the sharded engine). Per-edge
+    /// and `shards=<N>` (shorthand for the sharded engine). Each setting
+    /// may be given once: a repeated key is an error, and so is a second
+    /// spelling of one setting (`traffic=` and `dest=`, `engine=` and
+    /// `shards=`, or two of `load=`/`lambda=`/`rho=`/`util=`). Per-edge
     /// `service_rates`, per-source rate vectors and traffic matrices have
     /// no spec syntax — set them on the builder.
     ///
+    /// A [`SweepSpec`](crate::SweepSpec) is this grammar with `|`
+    /// alternatives in the values; each of its cells goes through this
+    /// parser.
+    ///
     /// # Errors
     ///
-    /// Returns [`ScenarioError::Parse`] for malformed input and
-    /// [`ScenarioError::Unsupported`] when the parsed combination fails
-    /// [`Scenario::validate`].
+    /// Returns [`ScenarioError::Parse`] for malformed input and the
+    /// [`Scenario::validate`] error when the parsed combination is not
+    /// runnable.
     pub fn parse(spec: &str) -> Result<Self, ScenarioError> {
-        let mut raw = spec
-            .split(|c: char| c == ',' || c.is_whitespace())
-            .filter(|p| !p.is_empty());
-        let head = raw.next().unwrap_or_default().trim();
+        let sc = Self::parse_unvalidated(spec)?;
+        sc.validate()?;
+        Ok(sc)
+    }
+
+    /// [`Scenario::parse`] without the final [`Scenario::validate`], so a
+    /// sweep can parse its cells up front and report a bad combination
+    /// per cell when it expands.
+    #[inline]
+    pub(crate) fn parse_unvalidated(spec: &str) -> Result<Self, ScenarioError> {
+        let mut fields = spec_fields(spec);
+        let head = fields.next().unwrap_or_default();
         let mut sc = Scenario::new(TopologySpec::parse_head(head)?);
-        // `probes=` is the one clause whose value is itself
-        // comma-joined (`probes=nsys,maxq`), so the comma split above
-        // fragments it. Re-attach any `=`-less fragment to a directly
-        // preceding `probes=` part; everywhere else a part without `=`
-        // stays a parse error.
-        let mut parts: Vec<String> = Vec::new();
-        for part in raw {
-            let part = part.trim();
-            if part.is_empty() {
-                continue;
-            }
-            if !part.contains('=') {
-                if let Some(prev) = parts.last_mut() {
-                    if prev.starts_with("probes=") {
-                        prev.push(',');
-                        prev.push_str(part);
-                        continue;
-                    }
-                }
-            }
-            parts.push(part.to_string());
-        }
-        let mut load_seen = false;
         let f64_of = |key: &str, v: &str| -> Result<f64, ScenarioError> {
             v.parse::<f64>()
                 .map_err(|_| ScenarioError::parse(format!("bad number `{v}` for `{key}`")))
@@ -1837,11 +1862,8 @@ impl Scenario {
                 ))),
             }
         };
-        for part in &parts {
-            let part = part.as_str();
-            let (key, value) = part.split_once('=').ok_or_else(|| {
-                ScenarioError::parse(format!("expected `key=value`, got `{part}`"))
-            })?;
+        for clause in &spec_clauses(fields).map_err(ScenarioError::parse)? {
+            let (key, value) = split_clause(clause);
             match key {
                 "router" => {
                     sc.router = RouterSpec::parse_token(value).map_err(ScenarioError::parse)?;
@@ -1856,49 +1878,7 @@ impl Scenario {
                     sc.traffic.source =
                         SourceSpec::parse_token(value).map_err(ScenarioError::parse)?;
                 }
-                "lambda" | "rho" | "util" => {
-                    if load_seen {
-                        return Err(ScenarioError::parse(format!(
-                            "`{key}` conflicts with an earlier load key — give exactly \
-                             one of lambda=, rho= or util="
-                        )));
-                    }
-                    load_seen = true;
-                    let v = f64_of(key, value)?;
-                    sc.load = match key {
-                        "lambda" => Load::Lambda(v),
-                        "rho" => Load::TableRho(v),
-                        _ => Load::Utilization(v),
-                    };
-                }
-                // The explicit spelling `load=<convention>:<value>`.
-                "load" => {
-                    if load_seen {
-                        return Err(ScenarioError::parse(
-                            "`load` conflicts with an earlier load key — give exactly \
-                             one of lambda=, rho=, util= or load="
-                                .into(),
-                        ));
-                    }
-                    load_seen = true;
-                    let (conv, num) = value.split_once(':').ok_or_else(|| {
-                        ScenarioError::parse(format!(
-                            "expected `load=<convention>:<value>`, got `load={value}`"
-                        ))
-                    })?;
-                    let v = f64_of(key, num)?;
-                    sc.load = match conv {
-                        "lambda" => Load::Lambda(v),
-                        "rho" => Load::TableRho(v),
-                        "util" => Load::Utilization(v),
-                        other => {
-                            return Err(ScenarioError::parse(format!(
-                                "unknown load convention `{other}` (expected lambda, rho \
-                                 or util)"
-                            )))
-                        }
-                    };
-                }
+                "lambda" | "rho" | "util" | "load" => sc.load = parse_load(key, value)?,
                 "horizon" => sc.horizon = f64_of(key, value)?,
                 "warmup" => sc.warmup = f64_of(key, value)?,
                 "seed" => {
@@ -1951,7 +1931,6 @@ impl Scenario {
                 }
             }
         }
-        sc.validate()?;
         Ok(sc)
     }
 
@@ -1977,11 +1956,8 @@ impl Scenario {
                 s.push_str(&format!(",src={token}"));
             }
         }
-        match self.load {
-            Load::Lambda(l) => s.push_str(&format!(",lambda={l}")),
-            Load::TableRho(r) => s.push_str(&format!(",rho={r}")),
-            Load::Utilization(u) => s.push_str(&format!(",util={u}")),
-        }
+        let (convention, value) = load_parts(self.load);
+        s.push_str(&format!(",{convention}={value}"));
         let (default_horizon, default_warmup) = default_horizon_for(&self.topology);
         if self.horizon != default_horizon {
             s.push_str(&format!(",horizon={}", self.horizon));
@@ -2025,6 +2001,113 @@ impl Scenario {
             other => s.push_str(&format!(",engine={}", other.as_str())),
         }
         s
+    }
+}
+
+/// The fields of a spec string. Fields separate on commas and/or
+/// whitespace, so a quoted shell argument with spaces is one valid spec.
+pub(crate) fn spec_fields(spec: &str) -> impl Iterator<Item = &str> {
+    spec.split(|c: char| c == ',' || c.is_whitespace())
+        .filter(|field| !field.is_empty())
+}
+
+/// The setting a spec key sets. Alternative spellings of one setting
+/// share it, so at most one of them may appear in a spec.
+#[inline]
+pub(crate) fn key_slot(key: &str) -> &str {
+    match key {
+        "dest" => "traffic",
+        "shards" => "engine",
+        "lambda" | "rho" | "util" => "load",
+        other => other,
+    }
+}
+
+/// Groups spec fields into `key=value` clauses (split them with
+/// [`split_clause`]): the clause grammar scenario and sweep specs share.
+/// Inlined, with each clause kept as one string: the scenario parser's
+/// first call is cold (most of the Table-I benchmark's ~80 µs setup is
+/// first-touch page faults), and this keeps it as cheap as before.
+///
+/// `probes=` is the one clause whose value is itself comma-joined
+/// (`probes=nsys,maxq`), so the field split fragments it: a field without
+/// `=` directly after a `probes=` clause is re-attached to it. Everywhere
+/// else a field without `=` is an error.
+///
+/// # Errors
+///
+/// A field that is not `key=value`, or a clause for a setting an earlier
+/// clause already set (see [`key_slot`]).
+#[inline]
+pub(crate) fn spec_clauses<'a>(
+    fields: impl Iterator<Item = &'a str>,
+) -> Result<Vec<String>, String> {
+    let mut clauses: Vec<String> = Vec::new();
+    for field in fields {
+        match field.split_once('=') {
+            Some((key, _)) => {
+                if let Some((earlier, _)) = clauses
+                    .iter()
+                    .map(|c| split_clause(c))
+                    .find(|(k, _)| key_slot(k) == key_slot(key))
+                {
+                    return Err(format!(
+                        "`{key}=` repeats the `{}` setting of the earlier `{earlier}=` clause \
+                         — give each setting once",
+                        key_slot(key)
+                    ));
+                }
+                clauses.push(field.to_string());
+            }
+            None => match clauses.last_mut() {
+                Some(clause) if clause.starts_with("probes=") => {
+                    clause.push(',');
+                    clause.push_str(field);
+                }
+                _ => return Err(format!("expected `key=value`, got `{field}`")),
+            },
+        }
+    }
+    Ok(clauses)
+}
+
+/// A clause from [`spec_clauses`], split into its key and value.
+pub(crate) fn split_clause(clause: &str) -> (&str, &str) {
+    clause.split_once('=').unwrap_or((clause, ""))
+}
+
+/// Parses a load setting: `<convention>=<value>` for the `lambda`, `rho`
+/// and `util` keys, or the explicit `load=<convention>:<value>`.
+fn parse_load(key: &str, value: &str) -> Result<Load, ScenarioError> {
+    let (convention, number) = if key == "load" {
+        value.split_once(':').ok_or_else(|| {
+            ScenarioError::parse(format!(
+                "expected `load=<convention>:<value>`, got `load={value}`"
+            ))
+        })?
+    } else {
+        (key, value)
+    };
+    let v = number
+        .parse::<f64>()
+        .map_err(|_| ScenarioError::parse(format!("bad number `{number}` for `{key}`")))?;
+    match convention {
+        "lambda" => Ok(Load::Lambda(v)),
+        "rho" => Ok(Load::TableRho(v)),
+        "util" => Ok(Load::Utilization(v)),
+        other => Err(ScenarioError::parse(format!(
+            "unknown load convention `{other}` (expected lambda, rho or util)"
+        ))),
+    }
+}
+
+/// A load's convention name and value, as spec strings spell them
+/// (`rho=0.5` in a scenario, `load=rho:0.5` in a sweep).
+pub(crate) fn load_parts(load: Load) -> (&'static str, f64) {
+    match load {
+        Load::Lambda(v) => ("lambda", v),
+        Load::TableRho(v) => ("rho", v),
+        Load::Utilization(v) => ("util", v),
     }
 }
 

@@ -1,11 +1,15 @@
 //! [`SweepSpec`]: a declarative grid of [`Scenario`]s.
 //!
 //! The paper's tables are really *sweeps* — a cartesian product of
-//! topology, load, router and destination axes, one scenario per cell. A
-//! [`SweepSpec`] names such a grid compactly, expands it deterministically
-//! ([`SweepSpec::expand`]), and round-trips through a textual grammar
-//! ([`SweepSpec::parse`] / [`SweepSpec::spec_string`]) the same way
-//! [`Scenario`] specs do:
+//! topology, load, router and traffic axes, one scenario per cell. A sweep
+//! spec is a scenario spec whose values may be `|`-separated
+//! alternatives, with the topology head spelled `topo=` and three
+//! sweep-only settings (`reps=`, `seed=` and the `horizon=`/`warmup=`
+//! policy). [`SweepSpec::parse`] expands the alternatives textually and
+//! hands every cell to [`Scenario::parse`]'s own parser, so each scenario
+//! key is parsed in one place and works in a sweep. The grid expands
+//! deterministically ([`SweepSpec::expand`]) and round-trips through
+//! [`SweepSpec::spec_string`]:
 //!
 //! ```
 //! use meshbound_sim::SweepSpec;
@@ -30,11 +34,10 @@ use crate::engine::EngineSpec;
 use crate::fault::FaultSpec;
 use crate::rng::splitmix64;
 use crate::scenario::{
-    RouterSpec, Scenario, ScenarioError, TopologySpec, DEFAULT_HORIZON, DEFAULT_WARMUP,
+    key_slot, load_parts, spec_clauses, spec_fields, split_clause, Scenario, ScenarioError,
+    DEFAULT_HORIZON, DEFAULT_WARMUP,
 };
 use crate::service::ServiceKind;
-use crate::telemetry::ProbeSpec;
-use crate::traffic::{PatternSpec, SourceSpec};
 use meshbound_queueing::load::Load;
 use serde::{Deserialize, Serialize};
 
@@ -80,7 +83,7 @@ impl HorizonPolicy {
 pub enum SweepError {
     /// The sweep grammar could not be parsed.
     Parse(String),
-    /// An axis is empty, so the grid has no cells.
+    /// `reps=0`: the grid has no runs.
     EmptyAxis(String),
     /// Two cells expand to the identical scenario.
     DuplicateCell(String),
@@ -101,193 +104,115 @@ impl std::fmt::Display for SweepError {
 
 impl std::error::Error for SweepError {}
 
-/// A declarative grid of scenarios: axis lists plus the knobs shared by
-/// every cell.
+/// The most cells a sweep may have. Far above any grid worth running, it
+/// stops a short spec from describing billions of cells (each clause's
+/// alternatives multiply) before they are parsed.
+const MAX_CELLS: usize = 1 << 16;
+
+/// The order a sweep nests its `|` alternatives: `topo` outermost, then
+/// these settings, then every other setting by name. Fixed, so the cell
+/// order does not depend on the order the clauses were written in.
+const NESTING: [&str; 5] = ["load", "router", "traffic", "faults", "engine"];
+
+fn nesting_rank(slot: &str) -> (usize, &str) {
+    let rank = NESTING.iter().position(|k| *k == slot);
+    (rank.unwrap_or(NESTING.len()), slot)
+}
+
+/// One scenario setting as [`SweepSpec::spec_string`] renders it: the key,
+/// its default token (the clause is left out when that is its only
+/// alternative; `None` for a setting without one), and the token of one
+/// cell (`None` while the setting is unset).
+type Setting = (
+    &'static str,
+    Option<&'static str>,
+    fn(&Scenario) -> Option<String>,
+);
+
+/// The settings rendered before the sweep-only clauses, in the canonical
+/// order.
+const SETTINGS: [Setting; 9] = [
+    ("topo", None, |c| Some(c.topology.spec_head())),
+    ("load", None, |c| {
+        let (convention, value) = load_parts(c.load);
+        Some(format!("{convention}:{value}"))
+    }),
+    ("router", Some("greedy"), |c| Some(c.router.as_str().into())),
+    ("traffic", Some("uniform"), |c| {
+        c.traffic.pattern.spec_token()
+    }),
+    ("src", Some("uniform"), |c| c.traffic.source.spec_token()),
+    ("faults", Some("none"), |c| {
+        Some(
+            c.faults
+                .as_ref()
+                .map_or("none".into(), FaultSpec::spec_token),
+        )
+    }),
+    ("probes", Some("none"), |c| {
+        Some(c.probes.map_or("none".into(), |p| p.spec_token()))
+    }),
+    // Display, not `as_str`: `sharded:<N>` must keep its count.
+    ("engine", Some("auto"), |c| Some(c.engine.to_string())),
+    ("service", Some("det"), |c| {
+        Some(match c.service {
+            ServiceKind::Deterministic => "det".into(),
+            ServiceKind::Exponential => "exp".into(),
+        })
+    }),
+];
+
+/// The settings rendered after the sweep-only clauses.
+const LATE_SETTINGS: [Setting; 6] = [
+    ("saturated", Some("false"), |c| {
+        Some(c.track_saturated.to_string())
+    }),
+    ("slot", None, |c| c.slot.map(|v| v.to_string())),
+    ("sample", None, |c| c.sample_every.map(|v| v.to_string())),
+    ("self", Some("true"), |c| {
+        Some(c.include_self_packets.to_string())
+    }),
+    ("quantiles", Some("false"), |c| {
+        Some(c.delay_quantiles.to_string())
+    }),
+    ("queues", Some("false"), |c| {
+        Some(c.track_edge_queues.to_string())
+    }),
+];
+
+/// A declarative grid of scenarios: the parsed cells plus the knobs that
+/// only a sweep has.
 ///
-/// Build one with [`SweepSpec::new`] and the chainable setters, or parse
-/// the textual grammar with [`SweepSpec::parse`]. [`SweepSpec::expand`]
-/// turns it into concrete [`Scenario`]s in a deterministic order
-/// (topology-major, then load, router, destination).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// Parse one from the grammar with [`SweepSpec::parse`];
+/// [`SweepSpec::expand`] validates the cells, applies the horizon policy
+/// and derives each cell's seed.
+#[derive(Debug, Clone, PartialEq)]
 pub struct SweepSpec {
-    /// Topology axis (at least one entry).
-    pub topologies: Vec<TopologySpec>,
-    /// Load axis (at least one entry, any [`Load`] convention per entry).
-    pub loads: Vec<Load>,
-    /// Router axis.
-    pub routers: Vec<RouterSpec>,
-    /// Traffic-pattern axis (the destination side of the workload; the
-    /// grammar key is `traffic=`, with `dest=` kept as the pre-PR-5
-    /// alias). Matrix workloads have no grammar token and are
-    /// builder-only at the [`Scenario`] level.
-    pub patterns: Vec<PatternSpec>,
-    /// Source model shared by every cell (`src=` clause; not an axis).
-    pub source: SourceSpec,
-    /// Fault axis (`faults=` clause; `none` is the healthy entry). Each
-    /// cell materializes its own deterministic [`FaultPlan`] from the
-    /// cell seed, so a faulted sweep is as replayable as a healthy one.
-    ///
-    /// [`FaultPlan`]: crate::fault::FaultPlan
-    pub faults: Vec<Option<FaultSpec>>,
-    /// Telemetry probes shared by every cell (`probes=` clause; not an
-    /// axis — probes never change the physics, so sweeping them would
-    /// only duplicate cells). `None` (the default) keeps every cell spec
-    /// string, and therefore every derived cell seed, byte-identical to
-    /// a pre-telemetry sweep.
-    pub probes: Option<ProbeSpec>,
-    /// Engine axis (defaults to `[Auto]`). Engines produce bit-identical
-    /// results and share per-cell seeds, so an `engine=` axis measures
-    /// pure wall-clock differences — the perf-ablation use case.
-    pub engines: Vec<EngineSpec>,
-    /// Transmission-time distribution shared by every cell.
-    pub service: ServiceKind,
+    /// The cells in expansion order, as parsed: default horizon, warmup
+    /// and seed, not yet validated.
+    cells: Vec<Scenario>,
+    /// Each setting with two or more alternatives and its alternative
+    /// count, in nesting order. `topo` is nested outside them all, so its
+    /// count is what is left of the cell count.
+    axes: Vec<(String, usize)>,
     /// Independent replications per cell.
     pub reps: usize,
     /// Sweep master seed; each cell derives its own scenario seed from it.
     pub seed: u64,
     /// Horizon policy shared by every cell.
     pub horizon: HorizonPolicy,
-    /// Track the remaining-saturated-services integral (square meshes).
-    pub track_saturated: bool,
-}
-
-impl Default for SweepSpec {
-    fn default() -> Self {
-        Self::new()
-    }
 }
 
 impl SweepSpec {
-    /// An empty sweep with the default shared knobs: greedy router, uniform
-    /// destinations, deterministic service, one replication, seed 1, fixed
-    /// horizon 2000 / warmup 200. Topology and load axes start empty and
-    /// must be filled before [`SweepSpec::expand`].
-    #[must_use]
-    pub fn new() -> Self {
-        Self {
-            topologies: Vec::new(),
-            loads: Vec::new(),
-            routers: vec![RouterSpec::Greedy],
-            patterns: vec![PatternSpec::Uniform],
-            source: SourceSpec::Uniform,
-            faults: vec![None],
-            probes: None,
-            engines: vec![EngineSpec::Auto],
-            service: ServiceKind::Deterministic,
-            reps: 1,
-            seed: 1,
-            horizon: HorizonPolicy::Fixed {
-                horizon: DEFAULT_HORIZON,
-                warmup: DEFAULT_WARMUP,
-            },
-            track_saturated: false,
-        }
-    }
-
-    /// Sets the topology axis.
-    #[must_use]
-    pub fn topologies(mut self, topologies: Vec<TopologySpec>) -> Self {
-        self.topologies = topologies;
-        self
-    }
-
-    /// Sets the load axis.
-    #[must_use]
-    pub fn loads(mut self, loads: Vec<Load>) -> Self {
-        self.loads = loads;
-        self
-    }
-
-    /// Sets the router axis.
-    #[must_use]
-    pub fn routers(mut self, routers: Vec<RouterSpec>) -> Self {
-        self.routers = routers;
-        self
-    }
-
-    /// Sets the traffic-pattern axis.
-    #[must_use]
-    pub fn patterns(mut self, patterns: Vec<PatternSpec>) -> Self {
-        self.patterns = patterns;
-        self
-    }
-
-    /// Sets the shared source model.
-    #[must_use]
-    pub fn source(mut self, source: SourceSpec) -> Self {
-        self.source = source;
-        self
-    }
-
-    /// Sets the fault axis (`None` entries are healthy cells).
-    #[must_use]
-    pub fn faults(mut self, faults: Vec<Option<FaultSpec>>) -> Self {
-        self.faults = faults;
-        self
-    }
-
-    /// Sets the shared telemetry probes (`None` turns telemetry off).
-    #[must_use]
-    pub fn probes(mut self, probes: Option<ProbeSpec>) -> Self {
-        self.probes = probes;
-        self
-    }
-
-    /// Sets the engine axis.
-    #[must_use]
-    pub fn engines(mut self, engines: Vec<EngineSpec>) -> Self {
-        self.engines = engines;
-        self
-    }
-
-    /// Sets the shared service distribution.
-    #[must_use]
-    pub fn service(mut self, service: ServiceKind) -> Self {
-        self.service = service;
-        self
-    }
-
-    /// Sets the per-cell replication count.
-    #[must_use]
-    pub fn reps(mut self, reps: usize) -> Self {
-        self.reps = reps;
-        self
-    }
-
-    /// Sets the sweep master seed.
-    #[must_use]
-    pub fn seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
-    }
-
-    /// Sets the horizon policy.
-    #[must_use]
-    pub fn horizon(mut self, horizon: HorizonPolicy) -> Self {
-        self.horizon = horizon;
-        self
-    }
-
-    /// Enables or disables saturated-services tracking in every cell.
-    #[must_use]
-    pub fn track_saturated(mut self, yes: bool) -> Self {
-        self.track_saturated = yes;
-        self
-    }
-
     /// Number of cells the grid expands to (before validation).
     #[must_use]
     pub fn num_cells(&self) -> usize {
-        self.topologies.len()
-            * self.loads.len()
-            * self.routers.len()
-            * self.patterns.len()
-            * self.faults.len()
-            * self.engines.len()
+        self.cells.len()
     }
 
-    /// Expands the grid into concrete scenarios, topology-major
-    /// (`for topology { for load { for router { for traffic } } }`).
+    /// Expands the grid into concrete scenarios, topology-major, then in
+    /// the fixed nesting order of the other settings (load, router,
+    /// traffic, faults, engine, then the rest by name).
     ///
     /// Every cell gets a seed derived from the sweep seed and the cell's
     /// own parameters (see [`SweepSpec::cell_seed`]), so the expansion is a
@@ -296,81 +221,44 @@ impl SweepSpec {
     ///
     /// # Errors
     ///
-    /// [`SweepError::EmptyAxis`] if any axis or `reps` is empty,
+    /// [`SweepError::EmptyAxis`] if `reps` is 0,
     /// [`SweepError::InvalidCell`] if a cell fails [`Scenario::validate`]
     /// (e.g. a randomized router paired with a torus), and
     /// [`SweepError::DuplicateCell`] if two cells coincide.
     pub fn expand(&self) -> Result<Vec<Scenario>, SweepError> {
-        for (axis, len) in [
-            ("topo", self.topologies.len()),
-            ("load", self.loads.len()),
-            ("router", self.routers.len()),
-            ("traffic", self.patterns.len()),
-            ("faults", self.faults.len()),
-            ("engine", self.engines.len()),
-            ("reps", self.reps),
-        ] {
-            if len == 0 {
-                return Err(SweepError::EmptyAxis(format!(
-                    "`{axis}` has no entries — a sweep needs at least one value per axis"
-                )));
-            }
+        if self.reps == 0 {
+            return Err(SweepError::EmptyAxis(
+                "`reps` has no entries — a sweep needs at least one value per axis".into(),
+            ));
         }
-        if let Some(p) = self
-            .patterns
-            .iter()
-            .find(|p| matches!(p, PatternSpec::Matrix { .. }))
-        {
-            return Err(SweepError::InvalidCell(format!(
-                "`{}` traffic has no sweep grammar — run matrix workloads through \
-                 `Scenario` directly",
-                p.label()
-            )));
-        }
-        let mut cells = Vec::with_capacity(self.num_cells());
+        let invalid = |sc: &Scenario, e: ScenarioError| {
+            SweepError::InvalidCell(format!("`{}`: {e}", sc.spec_string()))
+        };
         let mut seen: std::collections::HashSet<String> = std::collections::HashSet::new();
-        for topology in &self.topologies {
-            for &load in &self.loads {
-                for &router in &self.routers {
-                    for pattern in &self.patterns {
-                        for faults in &self.faults {
-                            for &engine in &self.engines {
-                                let mut sc = Scenario::new(topology.clone())
-                                    .router(router)
-                                    .pattern(pattern.clone())
-                                    .source(self.source.clone())
-                                    .load(load)
-                                    .service(self.service)
-                                    .track_saturated(self.track_saturated)
-                                    .engine(engine);
-                                sc.faults = faults.clone();
-                                sc.probes = self.probes;
-                                // First validation catches unsupported
-                                // combinations before `cell_rho` resolves
-                                // the load against them.
-                                let invalid = |sc: &Scenario, e: ScenarioError| {
-                                    SweepError::InvalidCell(format!("`{}`: {e}", sc.spec_string()))
-                                };
-                                sc.validate().map_err(|e| invalid(&sc, e))?;
-                                let (horizon, warmup) = self.horizon.resolve(cell_rho(&sc));
-                                sc = sc.horizon(horizon).warmup(warmup);
-                                let seed = self.cell_seed(&sc);
-                                sc = sc.seed(seed);
-                                sc.validate().map_err(|e| invalid(&sc, e))?;
-                                let spec = sc.spec_string();
-                                if !seen.insert(spec.clone()) {
-                                    return Err(SweepError::DuplicateCell(format!(
-                                        "`{spec}` appears twice — deduplicate the axis lists"
-                                    )));
-                                }
-                                cells.push(sc);
-                            }
-                        }
+        self.cells
+            .iter()
+            .map(|cell| {
+                let (horizon, warmup) = match self.horizon {
+                    HorizonPolicy::Fixed { horizon, warmup } => (horizon, warmup),
+                    // Validate before `cell_rho` resolves the load
+                    // against an unsupported combination.
+                    HorizonPolicy::Auto { .. } => {
+                        cell.validate().map_err(|e| invalid(cell, e))?;
+                        self.horizon.resolve(cell_rho(cell))
                     }
+                };
+                let mut sc = cell.clone().horizon(horizon).warmup(warmup);
+                sc.seed = self.cell_seed(&sc);
+                sc.validate().map_err(|e| invalid(&sc, e))?;
+                let spec = sc.spec_string();
+                if !seen.insert(spec.clone()) {
+                    return Err(SweepError::DuplicateCell(format!(
+                        "`{spec}` appears twice — deduplicate the axis lists"
+                    )));
                 }
-            }
-        }
-        Ok(cells)
+                Ok(sc)
+            })
+            .collect()
     }
 
     /// The derived scenario seed of one cell: the sweep seed mixed (via
@@ -404,140 +292,86 @@ impl SweepSpec {
         splitmix64(self.seed ^ hash)
     }
 
+    /// Runs every cell on `engine`, replacing the `engine=` axis (what
+    /// `repro sweep --engine` does). Engines are bit-identical and share
+    /// cell seeds, so only the wall clock moves.
+    #[must_use]
+    pub fn with_engine(mut self, engine: EngineSpec) -> Self {
+        if let Some(i) = self.axes.iter().position(|(key, _)| key == "engine") {
+            let count = self.axes[i].1;
+            let stride: usize = self.axes[i + 1..].iter().map(|(_, n)| n).product();
+            self.cells = std::mem::take(&mut self.cells)
+                .into_iter()
+                .enumerate()
+                .filter(|(index, _)| (index / stride).is_multiple_of(count))
+                .map(|(_, cell)| cell)
+                .collect();
+            self.axes.remove(i);
+        }
+        for cell in &mut self.cells {
+            cell.engine = engine;
+        }
+        self
+    }
+
     // ------------------------------------------------------------------
     // The textual grammar.
     // ------------------------------------------------------------------
 
-    /// Parses the sweep grammar: whitespace-separated `key=value` clauses
-    /// where axis values are `|`-separated lists.
+    /// Parses the sweep grammar: a [`Scenario::parse`] spec whose values
+    /// may be `|`-separated alternatives, plus four sweep-only keys.
     ///
     /// ```text
-    /// topo=mesh:5|mesh:10|torus:8     (required; any Scenario topology head)
-    /// load=rho:0.2|util:0.9|lambda:0.1 (required; convention:value pairs)
-    /// router=greedy|oddeven            (default greedy; also randomized,
-    ///                                  westfirst)
-    /// traffic=uniform|transpose|hotspot:0.2 (default uniform; also
-    ///                                  nearby:<stop>, bernoulli:<p>,
-    ///                                  bitrev, bitcomp, shuffle,
-    ///                                  hotspot:<frac>:<node>; `dest=` is
-    ///                                  the pre-PR-5 alias)
-    /// src=uniform|hotspot:4[:<node>]   (shared source model, not an axis)
-    /// faults=none|links:0.05           (default none; fault axis — each
-    ///                                  entry is a [`FaultSpec`] token such
-    ///                                  as links:<rate>, nodes:<rate>,
-    ///                                  link:<id>, node:<id>, joined with
-    ///                                  `+`, plus at:<t> and repair:<dt>)
-    /// engine=auto|heap|calendar|sharded:<N> (default auto; a perf
-    ///                                  ablation axis — one-shard engines
-    ///                                  are bit-identical, `sharded:<N>`
-    ///                                  is the conservative parallel
-    ///                                  engine)
-    /// probes=nsys,maxq@10              (default none; shared telemetry
-    ///                                  clause, not an axis — a comma-joined
-    ///                                  subset of nsys, maxq, drops,
-    ///                                  delivered, shards (or all) with an
-    ///                                  optional @<dt> interval; probes
-    ///                                  never change simulated results or
-    ///                                  cell seeds)
-    /// service=det|exp                  (default det)
+    /// topo=mesh:5|mesh:10|torus:8      (required; the scenario heads)
+    /// load=rho:0.2|util:0.9|lambda:0.1 (required, in any load spelling:
+    ///                                  also rho=0.2|0.9, util=…, lambda=…)
+    /// router=greedy|oddeven            (any other scenario key, e.g.
+    /// traffic=uniform|transpose         traffic/dest, src, faults, probes,
+    /// faults=none|links:0.05            engine/shards, service, slot,
+    /// shards=1|2                        sample, self, saturated,
+    ///                                   quantiles, queues)
     /// reps=2      seed=7               (defaults 1 and 1)
     /// horizon=2000 warmup=200          (fixed policy, the default)
     /// horizon=auto:1500:12000          (load-adaptive policy)
-    /// saturated=true                   (default false)
     /// ```
+    ///
+    /// Clauses separate on whitespace and/or commas, and each setting may
+    /// be given once, exactly as in [`Scenario::parse`]. The grid is the
+    /// cartesian product of the alternatives, nested `topo` first, then
+    /// load, router, traffic, faults, engine and every other setting by
+    /// name, whatever order the clauses come in. Each cell is parsed by
+    /// the scenario parser; the sweep-only keys are not.
     ///
     /// # Errors
     ///
-    /// Returns [`SweepError::Parse`] for malformed input; expansion-time
-    /// problems (empty axes, invalid or duplicate cells) surface from
-    /// [`SweepSpec::expand`].
+    /// Returns [`SweepError::Parse`] for malformed input, including a cell
+    /// the scenario parser rejects; expansion-time problems (`reps=0`,
+    /// invalid or duplicate cells) surface from [`SweepSpec::expand`].
     pub fn parse(spec: &str) -> Result<Self, SweepError> {
-        let mut sweep = SweepSpec::new();
-        let bad = |msg: String| SweepError::Parse(msg);
+        let bad = SweepError::Parse;
         let f64_of = |key: &str, v: &str| -> Result<f64, SweepError> {
             v.parse::<f64>()
                 .map_err(|_| bad(format!("bad number `{v}` for `{key}`")))
         };
+        let clauses = spec_clauses(spec_fields(spec)).map_err(bad)?;
+        let mut heads: Option<Vec<&str>> = None;
+        let mut reps = 1;
+        let mut seed = 1;
         let mut fixed_horizon: Option<f64> = None;
         let mut warmup: Option<f64> = None;
         let mut auto_horizon: Option<(f64, f64)> = None;
-        let mut seen_keys: std::collections::HashSet<&str> = std::collections::HashSet::new();
-        for clause in spec.split_whitespace() {
-            let (key, value) = clause
-                .split_once('=')
-                .ok_or_else(|| bad(format!("expected `key=value`, got `{clause}`")))?;
-            // `traffic=` and `dest=` spell the same axis.
-            let canonical = if key == "dest" { "traffic" } else { key };
-            if !seen_keys.insert(canonical) {
-                return Err(bad(format!("duplicate clause `{key}=`")));
-            }
+        let mut axes: Vec<(&str, Vec<&str>)> = Vec::new();
+        for clause in &clauses {
+            let (key, value) = split_clause(clause);
             match key {
-                "topo" => {
-                    sweep.topologies = split_axis(value)
-                        .map_err(bad)?
-                        .into_iter()
-                        .map(|head| TopologySpec::parse_head(head).map_err(|e| bad(format!("{e}"))))
-                        .collect::<Result<_, _>>()?;
-                }
-                "load" => {
-                    sweep.loads = split_axis(value)
-                        .map_err(bad)?
-                        .into_iter()
-                        .map(|item| parse_load(item).map_err(bad))
-                        .collect::<Result<_, _>>()?;
-                }
-                "router" => {
-                    sweep.routers = split_axis(value)
-                        .map_err(bad)?
-                        .into_iter()
-                        .map(|item| RouterSpec::parse_token(item).map_err(bad))
-                        .collect::<Result<_, _>>()?;
-                }
-                "traffic" | "dest" => {
-                    sweep.patterns = split_axis(value)
-                        .map_err(bad)?
-                        .into_iter()
-                        .map(|item| PatternSpec::parse_token(item).map_err(bad))
-                        .collect::<Result<_, _>>()?;
-                }
-                "src" => {
-                    sweep.source = SourceSpec::parse_token(value).map_err(bad)?;
-                }
-                "faults" => {
-                    sweep.faults = split_axis(value)
-                        .map_err(bad)?
-                        .into_iter()
-                        .map(|item| FaultSpec::parse_token(item).map_err(bad))
-                        .collect::<Result<_, _>>()?;
-                }
-                "engine" => {
-                    sweep.engines = split_axis(value)
-                        .map_err(bad)?
-                        .into_iter()
-                        .map(|item| EngineSpec::parse_str(item).map_err(bad))
-                        .collect::<Result<_, _>>()?;
-                }
-                "probes" => {
-                    sweep.probes = ProbeSpec::parse_token(value).map_err(bad)?;
-                }
-                "service" => {
-                    sweep.service = match value {
-                        "det" | "deterministic" => ServiceKind::Deterministic,
-                        "exp" | "exponential" => ServiceKind::Exponential,
-                        other => {
-                            return Err(bad(format!(
-                                "unknown service `{other}` (expected det or exp)"
-                            )))
-                        }
-                    };
-                }
+                "topo" => heads = Some(split_axis(value)?),
                 "reps" => {
-                    sweep.reps = value
+                    reps = value
                         .parse::<usize>()
                         .map_err(|_| bad(format!("bad replication count `{value}`")))?;
                 }
                 "seed" => {
-                    sweep.seed = value
+                    seed = value
                         .parse::<u64>()
                         .map_err(|_| bad(format!("bad seed `{value}`")))?;
                 }
@@ -548,8 +382,17 @@ impl SweepSpec {
                                 "auto horizon `{value}` must be `auto:<base>:<cap>`"
                             ))
                         })?;
-                        auto_horizon =
-                            Some((f64_of("horizon base", base)?, f64_of("horizon cap", cap)?));
+                        let (base, cap) =
+                            (f64_of("horizon base", base)?, f64_of("horizon cap", cap)?);
+                        if !(base > 0.0 && base.is_finite()) {
+                            return Err(bad(format!(
+                                "auto horizon base `{base}` must be positive and finite"
+                            )));
+                        }
+                        if cap.is_nan() || cap <= 0.0 {
+                            return Err(bad(format!("auto horizon cap `{cap}` must be positive")));
+                        }
+                        auto_horizon = Some((base, cap));
                     } else if value == "auto" {
                         return Err(bad(
                             "auto horizon needs explicit sizes: `horizon=auto:<base>:<cap>`".into(),
@@ -559,30 +402,17 @@ impl SweepSpec {
                     }
                 }
                 "warmup" => warmup = Some(f64_of("warmup", value)?),
-                "saturated" => {
-                    sweep.track_saturated = match value {
-                        "true" => true,
-                        "false" => false,
-                        other => {
-                            return Err(bad(format!(
-                                "bad boolean `{other}` for `saturated` (expected true or false)"
-                            )))
-                        }
-                    };
-                }
-                other => return Err(bad(format!("unknown sweep key `{other}`"))),
+                _ => axes.push((key, split_axis(value)?)),
             }
         }
-        if sweep.topologies.is_empty() {
-            return Err(bad("a sweep needs a `topo=` axis".into()));
-        }
-        if sweep.loads.is_empty() {
+        let heads = heads.ok_or_else(|| bad("a sweep needs a `topo=` axis".into()))?;
+        if !axes.iter().any(|(key, _)| key_slot(key) == "load") {
             return Err(bad("a sweep needs a `load=` axis".into()));
         }
         // A fixed and an auto horizon cannot coexist: both spell their
-        // clause `horizon=`, so the duplicate-clause check above already
+        // clause `horizon=`, so the duplicate-clause check already
         // rejected that combination.
-        sweep.horizon = match (auto_horizon, fixed_horizon, warmup) {
+        let horizon = match (auto_horizon, fixed_horizon, warmup) {
             (Some(_), _, Some(_)) => {
                 return Err(bad("`warmup=` only applies to a fixed horizon".into()))
             }
@@ -591,105 +421,69 @@ impl SweepSpec {
                 // An explicit horizon without a warmup keeps the default
                 // 1:10 warmup ratio rather than the absolute default (a
                 // 200-unit warmup would invalidate any shorter horizon).
+                // Divided, not multiplied by 200 first, so no finite
+                // horizon overflows.
                 let horizon = h.unwrap_or(DEFAULT_HORIZON);
                 HorizonPolicy::Fixed {
                     horizon,
-                    warmup: w.unwrap_or(horizon * DEFAULT_WARMUP / DEFAULT_HORIZON),
+                    warmup: w.unwrap_or(horizon / (DEFAULT_HORIZON / DEFAULT_WARMUP)),
                 }
             }
         };
-        Ok(sweep)
-    }
-
-    /// Renders the sweep as a grammar string [`SweepSpec::parse`] accepts;
-    /// non-default clauses only (plus the mandatory axes).
-    #[must_use]
-    pub fn spec_string(&self) -> String {
-        let mut out = String::from("topo=");
-        out.push_str(
-            &self
-                .topologies
-                .iter()
-                .map(TopologySpec::spec_head)
-                .collect::<Vec<_>>()
-                .join("|"),
-        );
-        out.push_str(" load=");
-        out.push_str(
-            &self
-                .loads
-                .iter()
-                .map(|l| match l {
-                    Load::Lambda(v) => format!("lambda:{v}"),
-                    Load::TableRho(v) => format!("rho:{v}"),
-                    Load::Utilization(v) => format!("util:{v}"),
-                })
-                .collect::<Vec<_>>()
-                .join("|"),
-        );
-        if self.routers != [RouterSpec::Greedy] {
-            out.push_str(" router=");
-            out.push_str(
-                &self
-                    .routers
-                    .iter()
-                    .map(|r| r.as_str())
-                    .collect::<Vec<_>>()
-                    .join("|"),
-            );
-        }
-        if self.patterns != [PatternSpec::Uniform] {
-            out.push_str(" traffic=");
-            out.push_str(
-                &self
-                    .patterns
-                    .iter()
-                    .map(|p| {
-                        p.spec_token()
-                            .expect("matrix patterns are builder-only and cannot reach a sweep")
-                    })
-                    .collect::<Vec<_>>()
-                    .join("|"),
-            );
-        }
-        if !self.source.is_uniform() {
-            if let Some(token) = self.source.spec_token() {
-                out.push_str(&format!(" src={token}"));
+        axes.sort_by(|a, b| nesting_rank(key_slot(a.0)).cmp(&nesting_rank(key_slot(b.0))));
+        let num_cells = axes
+            .iter()
+            .try_fold(heads.len(), |n, (_, alternatives)| {
+                n.checked_mul(alternatives.len())
+            })
+            .filter(|&n| n <= MAX_CELLS)
+            .ok_or_else(|| bad(format!("the grid has more than {MAX_CELLS} cells")))?;
+        // Odometer over the alternatives, innermost axis fastest.
+        let mut cells = Vec::with_capacity(num_cells);
+        let mut pick = vec![0; axes.len()];
+        for head in heads {
+            loop {
+                let mut text = head.to_string();
+                for ((key, alternatives), &i) in axes.iter().zip(&pick) {
+                    text.push_str(&format!(" {key}={}", alternatives[i]));
+                }
+                cells.push(Scenario::parse_unvalidated(&text).map_err(|e| match e {
+                    ScenarioError::Parse(m) => bad(m),
+                    other => bad(other.to_string()),
+                })?);
+                let Some(turn) = (0..axes.len())
+                    .rev()
+                    .find(|&a| pick[a] + 1 < axes[a].1.len())
+                else {
+                    pick.fill(0);
+                    break;
+                };
+                pick[turn] += 1;
+                pick[turn + 1..].fill(0);
             }
         }
-        if self.faults != [None] {
-            out.push_str(" faults=");
-            out.push_str(
-                &self
-                    .faults
-                    .iter()
-                    .map(|f| {
-                        f.as_ref()
-                            .map_or_else(|| "none".into(), FaultSpec::spec_token)
-                    })
-                    .collect::<Vec<_>>()
-                    .join("|"),
-            );
-        }
-        if let Some(probes) = &self.probes {
-            out.push_str(&format!(" probes={}", probes.spec_token()));
-        }
-        if self.engines != [EngineSpec::Auto] {
-            out.push_str(" engine=");
-            // Display, not `as_str`: `sharded:<N>` must keep its count to
-            // round-trip through `EngineSpec::parse_str`.
-            out.push_str(
-                &self
-                    .engines
-                    .iter()
-                    .map(|e| e.to_string())
-                    .collect::<Vec<_>>()
-                    .join("|"),
-            );
-        }
-        if self.service == ServiceKind::Exponential {
-            out.push_str(" service=exp");
-        }
+        Ok(SweepSpec {
+            cells,
+            axes: axes
+                .iter()
+                .filter(|(_, alternatives)| alternatives.len() > 1)
+                .map(|(key, alternatives)| (key_slot(key).to_string(), alternatives.len()))
+                .collect(),
+            reps,
+            seed,
+            horizon,
+        })
+    }
+
+    /// Renders the sweep in the canonical form [`SweepSpec::parse`]
+    /// accepts: `topo=` and `load=`, the other scenario settings in a
+    /// fixed order, then `reps=`, `seed=` and the horizon policy, then the
+    /// remaining settings. A setting whose only alternative is its default
+    /// is left out.
+    #[must_use]
+    pub fn spec_string(&self) -> String {
+        let mut out = String::new();
+        self.render(&mut out, &SETTINGS);
         if self.reps != 1 {
             out.push_str(&format!(" reps={}", self.reps));
         }
@@ -706,40 +500,50 @@ impl SweepSpec {
                 out.push_str(&format!(" horizon=auto:{base}:{cap}"));
             }
         }
-        if self.track_saturated {
-            out.push_str(" saturated=true");
+        self.render(&mut out, &LATE_SETTINGS);
+        out.trim_start().to_string()
+    }
+
+    /// Appends ` key=a|b…` for each setting, unless its only alternative
+    /// is its default.
+    fn render(&self, out: &mut String, settings: &[Setting]) {
+        for &(key, default, token) in settings {
+            let tokens: Vec<Option<String>> = self.alternatives(key).map(token).collect();
+            if tokens != [default.map(String::from)] {
+                let tokens: Vec<String> = tokens.into_iter().flatten().collect();
+                out.push_str(&format!(" {key}={}", tokens.join("|")));
+            }
         }
-        out
+    }
+
+    /// One cell per `|` alternative of setting `key` (`topo` for the
+    /// heads): the cells at which that alternative first appears, i.e.
+    /// every `stride`-th cell from the first, where `stride` is the
+    /// product of the alternative counts nested inside `key`.
+    fn alternatives(&self, key: &str) -> impl Iterator<Item = &Scenario> {
+        let inner = |from: usize| -> usize { self.axes[from..].iter().map(|(_, n)| n).product() };
+        let (count, stride) = if key == "topo" {
+            (self.cells.len() / inner(0), inner(0))
+        } else {
+            match self.axes.iter().position(|(k, _)| k == key) {
+                Some(i) => (self.axes[i].1, inner(i + 1)),
+                None => (1, 1),
+            }
+        };
+        self.cells.iter().step_by(stride).take(count)
     }
 }
 
-/// `|`-separated axis entries. Empty entries (doubled or trailing `|`)
+/// `|`-separated alternatives. Empty entries (doubled or trailing `|`)
 /// are rejected rather than silently dropped, matching the grammar's
 /// otherwise strict handling of malformed input.
-fn split_axis(value: &str) -> Result<Vec<&str>, String> {
+fn split_axis(value: &str) -> Result<Vec<&str>, SweepError> {
     if value.split('|').any(str::is_empty) {
-        return Err(format!(
+        return Err(SweepError::Parse(format!(
             "empty axis entry in `{value}` (doubled or trailing `|`?)"
-        ));
+        )));
     }
     Ok(value.split('|').collect())
-}
-
-fn parse_load(item: &str) -> Result<Load, String> {
-    let (conv, value) = item
-        .split_once(':')
-        .ok_or_else(|| format!("load `{item}` must be `<rho|util|lambda>:<value>`"))?;
-    let v = value
-        .parse::<f64>()
-        .map_err(|_| format!("bad number `{value}` in load `{item}`"))?;
-    match conv {
-        "rho" => Ok(Load::TableRho(v)),
-        "util" => Ok(Load::Utilization(v)),
-        "lambda" => Ok(Load::Lambda(v)),
-        other => Err(format!(
-            "unknown load convention `{other}` (expected rho, util or lambda)"
-        )),
-    }
 }
 
 /// The utilization the auto horizon policy scales by: the nominal load
@@ -755,14 +559,19 @@ fn cell_rho(sc: &Scenario) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scenario::{RouterSpec, TopologySpec};
+    use crate::telemetry::ProbeSpec;
+    use crate::traffic::PatternSpec;
+
+    const SMALL: &str = "topo=mesh:4|torus:4 load=rho:0.2|rho:0.8";
 
     fn small() -> SweepSpec {
-        SweepSpec::new()
-            .topologies(vec![
-                TopologySpec::Mesh { rows: 4, cols: 4 },
-                TopologySpec::Torus { n: 4 },
-            ])
-            .loads(vec![Load::TableRho(0.2), Load::TableRho(0.8)])
+        SweepSpec::parse(SMALL).unwrap()
+    }
+
+    /// [`SMALL`] with extra clauses.
+    fn small_with(clauses: &str) -> SweepSpec {
+        SweepSpec::parse(&format!("{SMALL} {clauses}")).unwrap()
     }
 
     #[test]
@@ -780,28 +589,31 @@ mod tests {
     #[test]
     fn empty_axes_are_rejected() {
         assert!(matches!(
-            SweepSpec::new().loads(vec![Load::Lambda(0.1)]).expand(),
+            small_with("reps=0").expand(),
             Err(SweepError::EmptyAxis(_))
         ));
-        assert!(matches!(
-            small().routers(Vec::new()).expand(),
-            Err(SweepError::EmptyAxis(_))
-        ));
-        assert!(matches!(
-            small().reps(0).expand(),
-            Err(SweepError::EmptyAxis(_))
-        ));
+        // An empty value is an empty list of alternatives.
+        for spec in [
+            "topo= load=rho:0.2",
+            "topo=mesh:4 load=",
+            "topo=mesh:4 load=rho:0.2 router=",
+        ] {
+            assert!(
+                matches!(SweepSpec::parse(spec), Err(SweepError::Parse(_))),
+                "`{spec}`"
+            );
+        }
     }
 
     #[test]
     fn duplicate_cells_are_rejected() {
-        let sweep = small().loads(vec![Load::TableRho(0.5), Load::TableRho(0.5)]);
+        let sweep = SweepSpec::parse("topo=mesh:4|torus:4 load=rho:0.5|rho:0.5").unwrap();
         assert!(matches!(sweep.expand(), Err(SweepError::DuplicateCell(_))));
     }
 
     #[test]
     fn invalid_cells_are_rejected_with_the_offending_spec() {
-        let sweep = small().routers(vec![RouterSpec::Randomized]);
+        let sweep = small_with("router=randomized");
         match sweep.expand() {
             Err(SweepError::InvalidCell(msg)) => {
                 assert!(msg.contains("torus"), "{msg}");
@@ -819,7 +631,7 @@ mod tests {
         let unique: std::collections::HashSet<u64> = seeds.iter().copied().collect();
         assert_eq!(unique.len(), seeds.len(), "cell seeds collide: {seeds:?}");
         // A different sweep seed moves every cell seed.
-        let c = small().seed(99).expand().unwrap();
+        let c = small_with("seed=99").expand().unwrap();
         assert!(c.iter().zip(&a).all(|(x, y)| x.seed != y.seed));
         // Re-deriving the seed of an already-seeded cell reproduces the
         // value expand() assigned (the seed field itself is not hashed).
@@ -831,10 +643,7 @@ mod tests {
 
     #[test]
     fn auto_horizon_grows_with_load_and_caps() {
-        let sweep = small().horizon(HorizonPolicy::Auto {
-            base: 1_000.0,
-            cap: 20_000.0,
-        });
+        let sweep = small_with("horizon=auto:1000:20000");
         let cells = sweep.expand().unwrap();
         // ρ = 0.2 → 1250, ρ = 0.8 → 5000.
         assert!(cells[1].horizon > cells[0].horizon);
@@ -845,7 +654,7 @@ mod tests {
 
     #[test]
     fn engine_axis_cells_share_seeds_and_parameters() {
-        let sweep = small().engines(vec![EngineSpec::Auto, EngineSpec::Heap]);
+        let sweep = small_with("engine=auto|heap");
         assert_eq!(sweep.num_cells(), 8);
         let cells = sweep.expand().unwrap();
         assert_eq!(cells.len(), 8);
@@ -860,63 +669,57 @@ mod tests {
             a.engine = pair[1].engine;
             assert_eq!(a, pair[1]);
         }
+        // Overriding the engine replaces the whole axis.
+        let forced = sweep.with_engine(EngineSpec::Calendar);
+        assert_eq!(forced.num_cells(), 4);
+        let forced_cells = forced.expand().unwrap();
+        for (cell, pair) in forced_cells.iter().zip(cells.chunks(2)) {
+            let mut a = pair[0].clone();
+            a.engine = EngineSpec::Calendar;
+            assert_eq!(*cell, a);
+        }
+        assert_eq!(
+            forced.spec_string(),
+            format!("{SMALL} engine=calendar"),
+            "the override renders as a single-engine sweep"
+        );
+        assert_eq!(
+            small_with("shards=1|2|4").with_engine(EngineSpec::Auto),
+            small()
+        );
     }
 
     #[test]
     fn grammar_round_trips() {
-        let sweeps = [
-            small(),
-            small().engines(vec![EngineSpec::Heap, EngineSpec::Calendar]),
+        for spec in [
+            SMALL.to_string(),
+            format!("{SMALL} engine=heap|calendar"),
             // The sharded engine's count must survive the round trip
             // (`engine=sharded:4`, not a bare `engine=sharded`).
-            small().engines(vec![
-                EngineSpec::Sharded { shards: 1 },
-                EngineSpec::Sharded { shards: 4 },
-            ]),
-            small()
-                .routers(vec![RouterSpec::Greedy, RouterSpec::Randomized])
-                .reps(3)
-                .seed(42),
-            SweepSpec::new()
-                .topologies(vec![TopologySpec::Hypercube { dim: 5 }])
-                .loads(vec![Load::Utilization(0.5), Load::Lambda(0.25)])
-                .patterns(vec![
-                    PatternSpec::Uniform,
-                    PatternSpec::Bernoulli { p: 0.25 },
-                ])
-                .service(ServiceKind::Exponential),
-            SweepSpec::new()
-                .topologies(vec![TopologySpec::Mesh { rows: 4, cols: 4 }])
-                .loads(vec![Load::Utilization(0.3)])
-                .patterns(vec![
-                    PatternSpec::Uniform,
-                    PatternSpec::Permutation {
-                        kind: meshbound_routing::pattern::PermutationKind::Transpose,
-                    },
-                    PatternSpec::Hotspot {
-                        node: None,
-                        frac: 0.25,
-                    },
-                ])
-                .source(SourceSpec::Hotspot {
-                    node: Some(0),
-                    weight: 4.0,
-                }),
-            small().horizon(HorizonPolicy::Auto {
-                base: 1_500.0,
-                cap: 12_000.0,
-            }),
-            small()
-                .horizon(HorizonPolicy::Fixed {
-                    horizon: 900.0,
-                    warmup: 90.0,
-                })
-                .track_saturated(true),
-        ];
-        for sweep in sweeps {
-            let spec = sweep.spec_string();
-            let parsed = SweepSpec::parse(&spec).unwrap_or_else(|e| panic!("`{spec}`: {e}"));
-            assert_eq!(parsed, sweep, "round trip failed for `{spec}`");
+            format!("{SMALL} engine=sharded:1|sharded:4"),
+            format!("{SMALL} router=greedy|randomized reps=3 seed=42"),
+            "topo=hypercube:5 load=util:0.5|lambda:0.25 traffic=uniform|bernoulli:0.25 \
+             service=exp"
+                .into(),
+            "topo=mesh:4 load=util:0.3 traffic=uniform|transpose|hotspot:0.25 src=hotspot:4:0"
+                .into(),
+            format!("{SMALL} horizon=auto:1500:12000"),
+            format!("{SMALL} horizon=900 warmup=90 saturated=true"),
+            // Keys the sweep grammar gained from the scenario grammar.
+            format!("{SMALL} shards=1|2 slot=0.5|1 sample=10 self=false|true quantiles=true"),
+            format!("{SMALL} queues=true|false service=det|exp src=uniform|hotspot:2"),
+            "topo=mesh:4 rho=0.2|0.5 dest=uniform|transpose probes=nsys,maxq|all@5".into(),
+            "topo=mesh:4,load=util:0.3,faults=none|links:0.1+at:5,probes=drops,delivered".into(),
+        ] {
+            let sweep = SweepSpec::parse(&spec).unwrap_or_else(|e| panic!("`{spec}`: {e}"));
+            let canonical = sweep.spec_string();
+            let parsed =
+                SweepSpec::parse(&canonical).unwrap_or_else(|e| panic!("`{canonical}`: {e}"));
+            assert_eq!(
+                parsed, sweep,
+                "round trip failed for `{spec}` via `{canonical}`"
+            );
+            assert_eq!(parsed.spec_string(), canonical);
         }
     }
 
@@ -928,22 +731,50 @@ mod tests {
             "topo=mesh:5",
             "topo=mesh:5 load=rho",
             "topo=mesh:5 load=rho:0.5 load=rho:0.2",
+            "topo=mesh:5 load=rho:0.5 rho=0.2",
             "topo=ring:8 load=rho:0.5",
             "topo=mesh:5 load=watts:0.5",
             "topo=mesh:5 load=rho:0.5 horizon=auto",
             "topo=mesh:5 load=rho:0.5 horizon=auto:100:200 warmup=10",
             "topo=mesh:5 load=rho:0.5 horizon=100 horizon=auto:100:200",
+            "topo=mesh:5 load=rho:0.5 horizon=auto:100:nan",
+            "topo=mesh:5 load=rho:0.5 horizon=auto:nan:100",
+            "topo=mesh:5 load=rho:0.5 horizon=auto:inf:100",
+            "topo=mesh:5 load=rho:0.5 horizon=auto:0:100",
+            "topo=mesh:5 load=rho:0.5 horizon=auto:100:0",
+            "topo=mesh:5 load=rho:0.5 horizon=auto:100:-5",
             "topo=mesh:5||torus:8 load=rho:0.5",
             "topo=mesh:5 load=rho:0.2|",
             "topo=mesh:5 load=rho:0.5 jobs=4",
             "topo=mesh:5 load=rho:0.5 reps=none",
             "topo=mesh:5 load=rho:0.5 engine=quantum",
             "topo=mesh:5 load=rho:0.5 engine=heap|",
+            "topo=mesh:5 load=rho:0.5 engine=heap shards=2",
             "topo=mesh:5 load=rho:0.5 traffic=warp",
             "topo=mesh:5 load=rho:0.5 traffic=uniform dest=uniform",
             "topo=mesh:5 load=rho:0.5 src=rates",
+            "topo=mesh:5 load=rho:0.5 router=greedy router=oddeven",
         ] {
             assert!(SweepSpec::parse(spec).is_err(), "`{spec}` should not parse");
+        }
+        // 2 × 16⁴ = 2¹⁷ cells from a spec of a few hundred bytes are
+        // refused before any is parsed.
+        let sixteen = |token: &str| {
+            let all: Vec<String> = (1..=16)
+                .map(|i| token.replace('#', &i.to_string()))
+                .collect();
+            all.join("|")
+        };
+        let huge = format!(
+            "topo=mesh:4|mesh:5 rho={} slot={} sample={} faults={}",
+            sixteen("0.0#"),
+            sixteen("#"),
+            sixteen("#"),
+            sixteen("link:#")
+        );
+        match SweepSpec::parse(&huge) {
+            Err(SweepError::Parse(msg)) => assert!(msg.contains("cells"), "{msg}"),
+            other => panic!("expected a parse error, got {other:?}"),
         }
     }
 
@@ -1005,20 +836,17 @@ mod tests {
         assert_eq!(SweepSpec::parse(&sweep.spec_string()).unwrap(), sweep);
         // A default (all-healthy) axis emits no faults clause.
         assert!(!small().spec_string().contains("faults"));
-        // Malformed fault tokens are parse errors; out-of-range rates and
-        // an emptied axis surface at expansion.
+        assert!(!small_with("faults=none").spec_string().contains("faults"));
+        // Malformed fault tokens are parse errors; out-of-range rates
+        // surface at expansion.
         assert!(SweepSpec::parse("topo=mesh:4 load=rho:0.2 faults=warp:1").is_err());
         let bad_rate = SweepSpec::parse("topo=mesh:4 load=rho:0.2 faults=links:2.0").unwrap();
         assert!(matches!(bad_rate.expand(), Err(SweepError::InvalidCell(_))));
-        assert!(matches!(
-            small().faults(Vec::new()).expand(),
-            Err(SweepError::EmptyAxis(_))
-        ));
     }
 
     #[test]
     fn healthy_cell_seeds_are_unchanged_by_the_faults_axis_default() {
-        // `faults` defaults to `[None]`, which must leave every pre-fault
+        // `faults` defaults to none, which must leave every pre-fault
         // cell spec string — and therefore every derived seed — untouched.
         let cells = small().expand().unwrap();
         for cell in &cells {
@@ -1036,12 +864,12 @@ mod tests {
             "topo=mesh:4 load=rho:0.2|rho:0.6 probes=nsys,maxq@10 horizon=400 warmup=40",
         )
         .unwrap();
-        let probes = sweep.probes.unwrap();
+        // The clause reaches every cell, and every cell spec round-trips
+        // through Scenario::parse.
+        let cells = sweep.expand().unwrap();
+        let probes = cells[0].probes.unwrap();
         assert!(probes.nsys && probes.maxq && !probes.shards);
         assert_eq!(probes.every, Some(10.0));
-        // The shared clause reaches every cell, and every cell spec
-        // round-trips through Scenario::parse.
-        let cells = sweep.expand().unwrap();
         for cell in &cells {
             assert_eq!(cell.probes, Some(probes));
             assert!(cell.spec_string().contains("probes=nsys,maxq@10"));
@@ -1053,7 +881,7 @@ mod tests {
         let off =
             SweepSpec::parse("topo=mesh:4 load=rho:0.2|rho:0.6 probes=none horizon=400 warmup=40")
                 .unwrap();
-        assert_eq!(off.probes, None);
+        assert!(off.expand().unwrap().iter().all(|c| c.probes.is_none()));
         assert!(!off.spec_string().contains("probes"));
         // Malformed probe tokens are parse errors.
         assert!(SweepSpec::parse("topo=mesh:4 load=rho:0.2 probes=speed").is_err());
@@ -1066,10 +894,8 @@ mod tests {
         // replay the exact sample paths — i.e. the exact cell seeds — of
         // its unprobed twin, and default cells carry no probes clause.
         let plain = small().expand().unwrap();
-        let probed = small()
-            .probes(ProbeSpec::parse_token("all").unwrap())
-            .expand()
-            .unwrap();
+        let probed = small_with("probes=all").expand().unwrap();
+        assert_eq!(probed[0].probes, ProbeSpec::parse_token("all").unwrap());
         for (a, b) in plain.iter().zip(&probed) {
             assert_eq!(a.seed, b.seed, "{}", a.spec_string());
             assert!(!a.spec_string().contains("probes"));
@@ -1079,10 +905,16 @@ mod tests {
 
     #[test]
     fn matrix_patterns_cannot_enter_a_sweep() {
-        let sweep = small().patterns(vec![PatternSpec::Matrix {
-            rows: vec![vec![1.0; 16]; 16],
-        }]);
-        assert!(matches!(sweep.expand(), Err(SweepError::InvalidCell(_))));
+        // Traffic matrices are builder-only: no spec token names one.
+        for spec in [
+            "topo=mesh:4 load=rho:0.2 traffic=matrix",
+            "topo=mesh:4 load=rho:0.2 traffic=uniform|matrix",
+        ] {
+            assert!(
+                matches!(SweepSpec::parse(spec), Err(SweepError::Parse(_))),
+                "`{spec}`"
+            );
+        }
     }
 
     #[test]
@@ -1104,11 +936,51 @@ mod tests {
 
     #[test]
     fn parsed_and_built_sweeps_expand_identically() {
-        let parsed = SweepSpec::parse("topo=mesh:4|torus:4 load=rho:0.2|rho:0.8").unwrap();
-        let built = small();
-        assert_eq!(parsed, built);
-        let a = parsed.expand().unwrap();
-        let b = built.expand().unwrap();
+        // The grammar yields the scenarios the builder API spells out,
+        // with the fixed default horizon and the derived seeds.
+        let parsed = small();
+        let built: Vec<Scenario> = [Scenario::mesh(4), Scenario::torus(4)]
+            .into_iter()
+            .flat_map(|sc| {
+                [0.2, 0.8].map(|rho| {
+                    let cell = sc
+                        .clone()
+                        .load(Load::TableRho(rho))
+                        .horizon(2_000.0)
+                        .warmup(200.0);
+                    let seed = parsed.cell_seed(&cell);
+                    cell.seed(seed)
+                })
+            })
+            .collect();
+        assert_eq!(parsed.expand().unwrap(), built);
+    }
+
+    #[test]
+    fn nesting_order_ignores_clause_order() {
+        // Cells nest topo, load, router, traffic, faults, engine, then the
+        // rest by name, however the clauses are written.
+        let a = SweepSpec::parse(
+            "topo=mesh:4 traffic=uniform|transpose router=greedy|oddeven load=rho:0.2|rho:0.4 \
+             shards=1|2 faults=none|links:0.1 self=true|false",
+        )
+        .unwrap();
+        let b = SweepSpec::parse(
+            "self=true|false faults=none|links:0.1 engine=sharded:1|sharded:2 \
+             load=rho:0.2|rho:0.4 router=greedy|oddeven topo=mesh:4 dest=uniform|transpose",
+        )
+        .unwrap();
         assert_eq!(a, b);
+        let cells = a.expand().unwrap();
+        assert_eq!(cells.len(), 64);
+        assert!(!cells[1].include_self_packets);
+        assert_eq!(cells[2].engine, EngineSpec::Sharded { shards: 2 });
+        assert!(cells[4].faults.is_some());
+        assert!(matches!(
+            cells[8].traffic.pattern,
+            PatternSpec::Permutation { .. }
+        ));
+        assert_eq!(cells[16].router, RouterSpec::OddEven);
+        assert_eq!(cells[32].load, Load::TableRho(0.4));
     }
 }

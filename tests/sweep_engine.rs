@@ -37,7 +37,9 @@ fn grammar_round_trips_and_expands() {
 #[test]
 fn expansion_rejects_empty_axes_and_duplicates() {
     assert!(matches!(
-        SweepSpec::new().expand(),
+        SweepSpec::parse("topo=mesh:4 load=rho:0.5 reps=0")
+            .unwrap()
+            .expand(),
         Err(SweepError::EmptyAxis(_))
     ));
     let dup = SweepSpec::parse("topo=mesh:4|mesh:4 load=rho:0.5").unwrap();
