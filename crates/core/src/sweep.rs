@@ -338,7 +338,7 @@ impl SweepReport {
 ///
 /// # Errors
 ///
-/// Propagates [`SweepSpec::expand`] rejections (empty axes, invalid or
+/// Propagates [`SweepSpec::expand`] rejections (`reps=0`, invalid or
 /// duplicate cells).
 pub fn run_sweep(spec: &SweepSpec, jobs: Jobs) -> Result<SweepReport, SweepError> {
     let cells = spec.expand()?;
